@@ -66,7 +66,9 @@ void BM_CountMinUpdate(benchmark::State& state) {
   auto sketch = CountMinSketch::Make(0.10, 0.05);
   Rng rng(3);
   std::vector<std::string> keys;
-  for (int i = 0; i < 1024; ++i) keys.push_back("g" + std::to_string(i));
+  for (int i = 0; i < 1024; ++i) {
+    keys.push_back(std::string("g").append(std::to_string(i)));
+  }
   std::size_t i = 0;
   for (auto _ : state) {
     sketch->Update(keys[i++ & 1023], 1.0);
@@ -79,7 +81,7 @@ void BM_CongressAllocate(benchmark::State& state) {
   const auto groups = static_cast<std::size_t>(state.range(0));
   std::unordered_map<std::string, std::uint64_t> freq;
   for (std::size_t g = 0; g < groups; ++g) {
-    freq["g" + std::to_string(g)] = 1 + 10000 / (g + 1);
+    freq[std::string("g").append(std::to_string(g))] = 1 + 10000 / (g + 1);
   }
   for (auto _ : state) {
     auto allocs = CongressAllocate(freq, 4000);
@@ -92,7 +94,7 @@ void BM_ProportionalAllocate(benchmark::State& state) {
   const auto groups = static_cast<std::size_t>(state.range(0));
   std::unordered_map<std::string, std::uint64_t> freq;
   for (std::size_t g = 0; g < groups; ++g) {
-    freq["g" + std::to_string(g)] = 1 + 10000 / (g + 1);
+    freq[std::string("g").append(std::to_string(g))] = 1 + 10000 / (g + 1);
   }
   for (auto _ : state) {
     auto allocs = ProportionalAllocate(freq, 4000);

@@ -28,7 +28,8 @@ int main() {
     const Timestamp t = i * Seconds(3);
     rides.emplace_back(
         t, std::vector<Value>{
-               Value("r" + std::to_string(rng.NextBounded(10))),
+               Value(std::string("r").append(
+                   std::to_string(rng.NextBounded(10)))),
                Value(5.0 + rng.NextDouble() * 20.0)});
   }
   std::vector<Tuple> surges;
@@ -36,7 +37,8 @@ int main() {
     for (int route = 0; route < 10; ++route) {
       surges.emplace_back(
           w + Minutes(1),
-          std::vector<Value>{Value("r" + std::to_string(route)),
+          std::vector<Value>{
+              Value(std::string("r").append(std::to_string(route))),
                              Value(1.0 + rng.NextDouble())});
     }
   }

@@ -5,12 +5,14 @@
 # Usage: scripts/check.sh [build-dir]
 #
 # SPEAR_CHECK_MATRIX=1 widens the sanitizer pass into the full matrix:
-# plain + ASan + TSan + UBSan in sequence (the TSan pass covers the
-# executor's supervision/recovery/overload machinery, where races would
-# otherwise only lose intermittently; the UBSan pass covers the lock-free
-# shed arithmetic), plus the 20x stress rerun of the timing-sensitive
-# chaos tests (scripts/check_stress.sh) whose failures are intermittent
-# by nature.
+# plain + Release + ASan + TSan + UBSan in sequence (the Release pass
+# builds at -O3 under -Werror, where GCC reports warnings the default
+# RelWithDebInfo build does not, and reruns the suite; the TSan pass
+# covers the executor's supervision/recovery/overload machinery, where
+# races would otherwise only lose intermittently; the UBSan pass covers
+# the lock-free shed arithmetic), plus the 20x stress rerun of the
+# timing-sensitive chaos tests (scripts/check_stress.sh) whose failures
+# are intermittent by nature.
 #
 # SPEAR_COVERAGE=1 builds instrumented (--coverage) in <build-dir>-cov,
 # runs the full suite there, and prints a gcovr line-coverage summary
@@ -35,6 +37,10 @@ ctest --test-dir "$ROOT/$BUILD_DIR" -j"$(nproc)" --output-on-failure
 "$ROOT/scripts/check_asan.sh" "$BUILD_DIR-asan"
 
 if [ "${SPEAR_CHECK_MATRIX:-0}" = "1" ]; then
+  cmake -S "$ROOT" -B "$ROOT/$BUILD_DIR-release" -G Ninja \
+    -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$ROOT/$BUILD_DIR-release"
+  ctest --test-dir "$ROOT/$BUILD_DIR-release" -j"$(nproc)" --output-on-failure
   "$ROOT/scripts/check_tsan.sh" "$BUILD_DIR-tsan"
   "$ROOT/scripts/check_ubsan.sh" "$BUILD_DIR-ubsan"
   # 20x rerun of the timing-sensitive chaos tests; reuses the TSan build

@@ -184,54 +184,61 @@ Result<GroupedEstimate> EstimateGrouped(const AggregateSpec& agg,
     return out;
   }
 
-  // Basic-congress allocation computed straight off the tracker (this is
-  // the per-window hot path for grouped operations: avoid rebuilding
-  // string-keyed maps; see CongressAllocate for the reference
-  // implementation the tests pin down).
+  // Basic-congress allocation, one linear pass over the tracker's slots
+  // (this is the per-window hot path for grouped operations;
+  // CongressAllocate is the string-keyed reference the tests pin it to).
+  const std::size_t groups = tracker.num_groups();
   std::uint64_t total = 0;
-  for (const auto& [key, stats] : tracker.groups()) total += stats.count();
-  const double g = static_cast<double>(tracker.num_groups());
+  for (std::size_t s = 0; s < groups; ++s) total += tracker.stats_at(s).count();
+  // Σ_g max(N_g/N, 1/G), summed as (Σ_House N_g)/N + |Senate|/G so the
+  // normalizer (and with it every n_g) is independent of slot order.
+  const double g = static_cast<double>(groups);
   const double senate = 1.0 / g;
-  double total_weight = 0.0;
-  for (const auto& [key, stats] : tracker.groups()) {
-    total_weight += std::max(
-        static_cast<double>(stats.count()) / static_cast<double>(total),
-        senate);
+  std::uint64_t house_total = 0;
+  std::size_t senate_groups = 0;
+  for (std::size_t s = 0; s < groups; ++s) {
+    const std::uint64_t count = tracker.stats_at(s).count();
+    if (count * groups > total) {
+      house_total += count;
+    } else {
+      ++senate_groups;
+    }
   }
-  std::vector<GroupAllocation> allocations;
-  allocations.reserve(tracker.num_groups());
-  for (const auto& [key, stats] : tracker.groups()) {
+  const double total_weight =
+      static_cast<double>(house_total) / static_cast<double>(total) +
+      static_cast<double>(senate_groups) / g;
+  std::vector<std::uint64_t> sizes(groups);
+  for (std::size_t s = 0; s < groups; ++s) {
+    const std::uint64_t count = tracker.stats_at(s).count();
     const double w = std::max(
-        static_cast<double>(stats.count()) / static_cast<double>(total),
-        senate);
-    auto n = static_cast<std::uint64_t>(
+        static_cast<double>(count) / static_cast<double>(total), senate);
+    const auto n = static_cast<std::uint64_t>(
         std::floor(w / total_weight * static_cast<double>(budget)));
-    n = std::min<std::uint64_t>(std::max<std::uint64_t>(n, 1),
-                                stats.count());
-    allocations.push_back(GroupAllocation{key, stats.count(), n});
+    sizes[s] = std::min<std::uint64_t>(std::max<std::uint64_t>(n, 1), count);
   }
-  std::sort(allocations.begin(), allocations.end(),
-            [](const GroupAllocation& a, const GroupAllocation& b) {
-              return a.key < b.key;
-            });
-  return EstimateGroupedWithAllocations(agg, tracker, std::move(allocations),
-                                        spec, norm, bound);
+  return EstimateGroupedWithAllocations(agg, tracker, std::move(sizes), spec,
+                                        norm, bound);
 }
 
 Result<GroupedEstimate> EstimateGroupedWithAllocations(
     const AggregateSpec& agg, const GroupStatsTracker& tracker,
-    std::vector<GroupAllocation> allocations, const AccuracySpec& spec,
+    std::vector<std::uint64_t> sample_sizes, const AccuracySpec& spec,
     GroupErrorNorm norm, QuantileBound bound) {
   SPEAR_RETURN_NOT_OK(spec.Validate());
-  if (allocations.empty()) return Status::Invalid("no allocations");
+  if (sample_sizes.empty()) return Status::Invalid("no allocations");
+  if (sample_sizes.size() != tracker.num_groups()) {
+    return Status::Invalid("one sample size per tracked group required");
+  }
 
   GroupedEstimate out;
-  out.allocations = std::move(allocations);
+  out.sample_sizes = std::move(sample_sizes);
   SPEAR_ASSIGN_OR_RETURN(const double z, NormalDeviate(spec.confidence));
 
-  out.group_errors.reserve(out.allocations.size());
-  for (const GroupAllocation& alloc : out.allocations) {
-    const RunningStats& g = tracker.groups().at(alloc.key);
+  out.group_errors.resize(out.sample_sizes.size());
+  for (std::size_t s = 0; s < out.sample_sizes.size(); ++s) {
+    const RunningStats& g = tracker.stats_at(s);
+    const std::uint64_t n = out.sample_sizes[s];
+    const std::uint64_t frequency = g.count();
     double e = 0.0;
     switch (agg.kind) {
       case AggregateKind::kCount:
@@ -239,32 +246,30 @@ Result<GroupedEstimate> EstimateGroupedWithAllocations(
         break;
       case AggregateKind::kMean:
       case AggregateKind::kSum:
-        e = RelativeMeanError(g.mean(), g.PopulationStdDev(),
-                              alloc.sample_size, alloc.frequency, z);
+        e = RelativeMeanError(g.mean(), g.PopulationStdDev(), n, frequency,
+                              z);
         break;
       case AggregateKind::kVariance:
         e = RelativeVarianceError(g.PopulationVariance(),
-                                  g.FourthCentralMoment(), alloc.sample_size,
-                                  alloc.frequency, z);
+                                  g.FourthCentralMoment(), n, frequency, z);
         break;
       case AggregateKind::kStdDev:
         e = RelativeVarianceError(g.PopulationVariance(),
-                                  g.FourthCentralMoment(), alloc.sample_size,
-                                  alloc.frequency, z) /
+                                  g.FourthCentralMoment(), n, frequency, z) /
             2.0;
         break;
       case AggregateKind::kMin:
       case AggregateKind::kMax:
-        e = alloc.sample_size == alloc.frequency ? 0.0 : kInf;
+        e = n == frequency ? 0.0 : kInf;
         break;
       case AggregateKind::kPercentile: {
         SPEAR_ASSIGN_OR_RETURN(
-            e, AchievedQuantileError(alloc.sample_size, alloc.frequency,
-                                     agg.phi, spec.confidence, bound));
+            e, AchievedQuantileError(n, frequency, agg.phi, spec.confidence,
+                                     bound));
         break;
       }
     }
-    out.group_errors.push_back(e);
+    out.group_errors[s] = e;
   }
 
   SPEAR_ASSIGN_OR_RETURN(out.epsilon_hat,

@@ -77,14 +77,17 @@ Result<double> AchievedQuantileError(std::uint64_t n, std::uint64_t window_size,
                                      QuantileBound bound);
 
 /// \brief Decision for a grouped window: aggregated error + the congress
-/// sample allocation that the accept path materializes.
+/// sample allocation that the accept path materializes. Per-group vectors
+/// are indexed by the tracker's slots (GroupStatsTracker::key_at gives a
+/// slot's key).
 struct GroupedEstimate {
   /// Aggregated ε̂_w over all groups (L1 by default).
   double epsilon_hat = 0.0;
   bool accepted = false;
-  /// Basic-congress allocation (one entry per group, sorted by key).
-  std::vector<GroupAllocation> allocations;
-  /// Per-group error estimates e_g, aligned with `allocations`.
+  /// Allocated stratified-sample size n_g per slot (basic congress, or
+  /// the caller's sizes for EstimateGroupedWithAllocations).
+  std::vector<std::uint64_t> sample_sizes;
+  /// Per-group error estimates e_g per slot.
   std::vector<double> group_errors;
 };
 
@@ -93,22 +96,24 @@ struct GroupedEstimate {
 ///
 /// Rejects outright (without allocating) when the tracker overflowed the
 /// budget's group capacity. Otherwise allocates the stratified sample via
-/// basic congress, computes each group's error e_g under that allocation,
-/// and aggregates with `norm`.
+/// basic congress (the same sizes CongressAllocate gives, computed in one
+/// pass over the slots), computes each group's error e_g under that
+/// allocation, and aggregates with `norm`.
 Result<GroupedEstimate> EstimateGrouped(
     const AggregateSpec& agg, const GroupStatsTracker& tracker,
     std::size_t budget, const AccuracySpec& spec,
     GroupErrorNorm norm = GroupErrorNorm::kL1,
     QuantileBound bound = QuantileBound::kHoeffding);
 
-/// \brief Same decision, but under a caller-provided sample allocation —
+/// \brief Same decision, but under caller-provided per-slot sample sizes —
 /// used when the group count is known at CQ submission and SPEAr already
 /// holds per-group reservoirs of fixed capacity (paper Sec. 4.1: "when the
 /// number of groups is defined by the user ... SPEAr is able to create a
-/// stratified sample at tuple arrival").
+/// stratified sample at tuple arrival"). `sample_sizes` must have one
+/// entry per tracker slot.
 Result<GroupedEstimate> EstimateGroupedWithAllocations(
     const AggregateSpec& agg, const GroupStatsTracker& tracker,
-    std::vector<GroupAllocation> allocations, const AccuracySpec& spec,
+    std::vector<std::uint64_t> sample_sizes, const AccuracySpec& spec,
     GroupErrorNorm norm = GroupErrorNorm::kL1,
     QuantileBound bound = QuantileBound::kHoeffding);
 

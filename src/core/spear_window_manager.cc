@@ -7,6 +7,7 @@
 #include "checkpoint/wire.h"
 #include "common/time.h"
 #include "stats/quantile.h"
+#include "stats/stratified_sample.h"
 #include "window/window_assigner.h"
 
 namespace spear {
@@ -170,7 +171,8 @@ SpearWindowManager::WindowState& SpearWindowManager::StateFor(
     case SpearMode::kGroupedUnknown:
     case SpearMode::kGroupedKnown:
       state.groups = std::make_unique<GroupStatsTracker>(
-          config_.budget.IsByteDenominated() ? max_groups_ : state.budget);
+          config_.budget.IsByteDenominated() ? max_groups_ : state.budget,
+          &keys_);
       break;
   }
   if (pending_lost_ > 0) {
@@ -185,10 +187,9 @@ SpearWindowManager::WindowState& SpearWindowManager::StateFor(
   return window_states_.emplace(window_start, std::move(state)).first->second;
 }
 
-void SpearWindowManager::UpdateWindowState(WindowState* state,
-                                           const Tuple& tuple) {
+void SpearWindowManager::UpdateWindowState(WindowState* state, double value,
+                                           std::uint32_t key_id) {
   ++state->count;
-  const double value = value_extractor_(tuple);
   switch (mode_) {
     case SpearMode::kScalarIncremental:
     case SpearMode::kScalarSampled:
@@ -199,22 +200,19 @@ void SpearWindowManager::UpdateWindowState(WindowState* state,
       if (state->sample) state->sample->Offer(value);
       break;
     case SpearMode::kGroupedUnknown:
-      if (state->groups) state->groups->Update(key_extractor_(tuple), value);
+      if (state->groups) state->groups->Update(key_id, value);
       break;
     case SpearMode::kGroupedKnown: {
       if (state->groups == nullptr) break;  // corrupted: exact fallback
-      const std::string key = key_extractor_(tuple);
-      state->groups->Update(key, value);
-      auto it = state->group_samples.find(key);
-      if (it == state->group_samples.end()) {
+      const std::uint32_t slot = state->groups->Observe(key_id, value);
+      // Overflowed: more groups than declared, the window falls back.
+      if (slot == GroupStatsTracker::kNoSlot) break;
+      if (slot == state->group_samples.size()) {
         const std::size_t cap = std::max<std::size_t>(
             state->budget / config_.known_num_groups, 1);
-        it = state->group_samples
-                 .emplace(key, ReservoirSampler<double>(
-                                   cap, config_.seed + sampler_seq_++))
-                 .first;
+        state->group_samples.emplace_back(cap, config_.seed + sampler_seq_++);
       }
-      it->second.Offer(value);
+      state->group_samples[slot].Offer(value);
       break;
     }
   }
@@ -314,12 +312,17 @@ void SpearWindowManager::OnTuple(std::int64_t coord, Tuple tuple) {
 
   // Alg. 1: update the budget state of every window the tuple joins
   // (tumbling fast path avoids the per-tuple window-list allocation).
+  // Grouped modes hash the key once here; the windows index by its id.
+  const double value = value_extractor_(tuple);
+  const std::uint32_t key_id = key_extractor_
+                                   ? keys_.Intern(key_extractor_(tuple))
+                                   : KeyDictionary::kNoId;
   if (config_.window.IsTumbling()) {
     UpdateWindowState(&StateFor(LastWindowStartFor(config_.window, coord)),
-                      tuple);
+                      value, key_id);
   } else {
     for (const WindowBounds& w : AssignWindows(config_.window, coord)) {
-      UpdateWindowState(&StateFor(w.start), tuple);
+      UpdateWindowState(&StateFor(w.start), value, key_id);
     }
   }
 
@@ -333,6 +336,7 @@ void SpearWindowManager::OnTuple(std::int64_t coord, Tuple tuple) {
         spill_key_ + "/" + std::to_string(spill_seq_), payload);
     if (stored.ok()) {
       spilled_coords_.push_back(coord);
+      if (key_extractor_) keys_.Unref(key_id);  // re-interned on fetch
       if (obs_spill_tuples_ != nullptr) obs_spill_tuples_->Increment();
       return;
     }
@@ -342,10 +346,16 @@ void SpearWindowManager::OnTuple(std::int64_t coord, Tuple tuple) {
     if (metrics_ != nullptr) metrics_->AddSpillFailures(1);
     if (obs_spill_failures_ != nullptr) obs_spill_failures_->Increment();
     payload.set_event_time(payload.PopField().AsInt64());
-    buffer_.push_back(Entry{coord, std::move(payload)});
+    PushBuffered(coord, std::move(payload), key_id);
     return;
   }
+  PushBuffered(coord, std::move(tuple), key_id);
+}
+
+void SpearWindowManager::PushBuffered(std::int64_t coord, Tuple tuple,
+                                      std::uint32_t key_id) {
   buffer_.push_back(Entry{coord, std::move(tuple)});
+  if (key_extractor_) buffer_keys_.push_back(key_id);
 }
 
 Status SpearWindowManager::StoreWithRetry(const std::string& key,
@@ -386,7 +396,12 @@ Status SpearWindowManager::UnspillAll() {
   for (auto& t : run) {
     const std::int64_t coord = t.event_time();
     t.set_event_time(t.PopField().AsInt64());
-    buffer_.push_back(Entry{coord, std::move(t)});
+    // The open windows that hold this key keep its id alive, so
+    // re-interning finds the id their trackers were built with.
+    const std::uint32_t key_id = key_extractor_
+                                     ? keys_.Intern(key_extractor_(t))
+                                     : KeyDictionary::kNoId;
+    PushBuffered(coord, std::move(t), key_id);
   }
   storage_->Erase(spill_key_ + "/" + std::to_string(spill_seq_));
   ++spill_seq_;
@@ -418,62 +433,39 @@ Result<ScalarEstimate> SpearWindowManager::EstimateScalarForState(
 }
 
 Status SpearWindowManager::PopulateGroupedResultFromScan(
-    const WindowBounds& bounds, const std::vector<GroupAllocation>& allocs,
-    WindowResult* result) {
+    const WindowBounds& bounds, const GroupStatsTracker& tracker,
+    const std::vector<std::uint64_t>& sample_sizes, WindowResult* result) {
   // Build the stratified sample with one pass over the buffer — the scan
-  // the single-buffer design already owes for eviction. One lookup per
-  // tuple; samplers are created lazily with Algorithm R (no init draws —
-  // congress allocations are tiny for sparse groups, so Algorithm L's
-  // skip machinery would cost more than it saves).
-  struct GroupSample {
-    std::uint64_t want = 0;
-    std::unique_ptr<ReservoirSampler<double>> sampler;
-  };
-  std::unordered_map<std::string, GroupSample> samples;
-  samples.reserve(allocs.size() * 2);
-  for (const GroupAllocation& a : allocs) {
-    samples.emplace(a.key, GroupSample{a.sample_size, nullptr});
-  }
-
+  // the single-buffer design already owes for eviction. Each tuple's
+  // group slot comes from its stored key id (no key extraction, no string
+  // hash), and only kept tuples have their value extracted.
+  StratifiedSample sample(sample_sizes, config_.seed + sampler_seq_++);
+  auto key_it = buffer_keys_.begin();
   for (const Entry& e : buffer_) {
+    const std::uint32_t key_id = *key_it++;
     if (!bounds.Contains(e.coord)) continue;
-    const auto it = samples.find(key_extractor_(e.tuple));
-    if (it == samples.end()) continue;  // cannot happen: tracker saw all
-    if (it->second.sampler == nullptr) {
-      it->second.sampler = std::make_unique<ReservoirSampler<double>>(
-          it->second.want, config_.seed + sampler_seq_++,
-          ReservoirAlgorithm::kAlgorithmR);
+    const std::uint32_t slot = tracker.SlotOf(key_id);
+    if (slot == GroupStatsTracker::kNoSlot) {
+      return Status::Internal("buffered tuple's group '" +
+                              keys_.KeyOf(key_id) +
+                              "' missing from its window's tracker");
     }
-    it->second.sampler->Offer(value_extractor_(e.tuple));
+    sample.Offer(slot, [&] { return value_extractor_(e.tuple); });
   }
 
   result->is_grouped = true;
-  result->groups.reserve(allocs.size());
+  result->groups.reserve(tracker.num_groups());
   std::uint64_t processed = 0;
-  for (const GroupAllocation& a : allocs) {
-    const auto it = samples.find(a.key);
-    if (it == samples.end() || it->second.sampler == nullptr) {
-      return Status::Internal("group '" + a.key +
+  for (const std::uint32_t slot : tracker.SlotsByKey()) {
+    if (sample.seen(slot) == 0) {
+      return Status::Internal("group '" + tracker.key_at(slot) +
                               "' tracked but absent from window scan");
     }
-    const std::vector<double>& sample = it->second.sampler->sample();
-    processed += sample.size();
-    double v = 0.0;
-    if (config_.aggregate.IsHolistic()) {
-      SPEAR_ASSIGN_OR_RETURN(
-          v, ExactQuantile(sample, config_.aggregate.phi));
-    } else if (config_.aggregate.kind == AggregateKind::kCount) {
-      v = static_cast<double>(a.frequency);  // exact from the tracker
-    } else if (config_.aggregate.kind == AggregateKind::kSum) {
-      RunningStats s;
-      for (double x : sample) s.Update(x);
-      v = s.mean() * static_cast<double>(a.frequency);
-    } else {
-      RunningStats s;
-      for (double x : sample) s.Update(x);
-      SPEAR_ASSIGN_OR_RETURN(v, EvaluateFromStats(config_.aggregate, s));
-    }
-    result->groups.emplace_back(a.key, v);
+    processed += sample.sample(slot).size();
+    SPEAR_ASSIGN_OR_RETURN(
+        const double v,
+        GroupValue(sample.sample(slot), tracker.stats_at(slot).count()));
+    result->groups.emplace_back(tracker.key_at(slot), v);
   }
   result->tuples_processed = processed;
   return Status::OK();
@@ -481,36 +473,39 @@ Status SpearWindowManager::PopulateGroupedResultFromScan(
 
 Status SpearWindowManager::PopulateGroupedResultFromReservoirs(
     const WindowState& state, WindowResult* result) {
-  result->is_grouped = true;
-  result->groups.reserve(state.group_samples.size());
-  std::uint64_t processed = 0;
-  for (const auto& [key, stats] : state.groups->groups()) {
-    const auto it = state.group_samples.find(key);
-    if (it == state.group_samples.end()) {
-      return Status::Internal("group '" + key + "' has no reservoir");
-    }
-    const std::vector<double>& sample = it->second.sample();
-    processed += sample.size();
-    double v = 0.0;
-    if (config_.aggregate.IsHolistic()) {
-      SPEAR_ASSIGN_OR_RETURN(
-          v, ExactQuantile(sample, config_.aggregate.phi));
-    } else if (config_.aggregate.kind == AggregateKind::kCount) {
-      v = static_cast<double>(stats.count());
-    } else if (config_.aggregate.kind == AggregateKind::kSum) {
-      RunningStats s;
-      for (double x : sample) s.Update(x);
-      v = s.mean() * static_cast<double>(stats.count());
-    } else {
-      RunningStats s;
-      for (double x : sample) s.Update(x);
-      SPEAR_ASSIGN_OR_RETURN(v, EvaluateFromStats(config_.aggregate, s));
-    }
-    result->groups.emplace_back(key, v);
+  const GroupStatsTracker& tracker = *state.groups;
+  if (state.group_samples.size() != tracker.num_groups()) {
+    return Status::Internal("grouped window: one reservoir per group needed");
   }
-  std::sort(result->groups.begin(), result->groups.end());
+  result->is_grouped = true;
+  result->groups.reserve(tracker.num_groups());
+  std::uint64_t processed = 0;
+  for (const std::uint32_t slot : tracker.SlotsByKey()) {
+    const std::vector<double>& sample = state.group_samples[slot].sample();
+    processed += sample.size();
+    SPEAR_ASSIGN_OR_RETURN(const double v,
+                           GroupValue(sample, tracker.stats_at(slot).count()));
+    result->groups.emplace_back(tracker.key_at(slot), v);
+  }
   result->tuples_processed = processed;
   return Status::OK();
+}
+
+Result<double> SpearWindowManager::GroupValue(std::span<const double> sample,
+                                              std::uint64_t frequency) const {
+  if (config_.aggregate.IsHolistic()) {
+    return ExactQuantile(std::vector<double>(sample.begin(), sample.end()),
+                         config_.aggregate.phi);
+  }
+  if (config_.aggregate.kind == AggregateKind::kCount) {
+    return static_cast<double>(frequency);  // exact from the tracker
+  }
+  RunningStats s;
+  for (const double x : sample) s.Update(x);
+  if (config_.aggregate.kind == AggregateKind::kSum) {
+    return s.mean() * static_cast<double>(frequency);
+  }
+  return EvaluateFromStats(config_.aggregate, s);
 }
 
 Result<CompleteWindow> SpearWindowManager::MaterializeWindow(
@@ -601,16 +596,18 @@ Result<WindowResult> SpearWindowManager::MakeDegradedResult(
             "cannot degrade holistic grouped window: spilled tuples "
             "unavailable");
       }
+      const GroupStatsTracker& tracker = *state->groups;
       SPEAR_ASSIGN_OR_RETURN(
           const GroupedEstimate est,
-          EstimateGrouped(config_.aggregate, *state->groups, state->budget,
+          EstimateGrouped(config_.aggregate, tracker, state->budget,
                           config_.accuracy, config_.group_error_norm,
                           config_.quantile_bound));
       result.estimated_error = est.epsilon_hat + inflate;
       result.is_grouped = true;
-      result.groups.reserve(state->groups->num_groups());
+      result.groups.reserve(tracker.num_groups());
       std::uint64_t processed = 0;
-      for (const auto& [key, stats] : state->groups->groups()) {
+      for (const std::uint32_t slot : tracker.SlotsByKey()) {
+        const RunningStats& stats = tracker.stats_at(slot);
         double v = 0.0;
         if (config_.aggregate.kind == AggregateKind::kCount) {
           v = static_cast<double>(stats.count());
@@ -620,10 +617,9 @@ Result<WindowResult> SpearWindowManager::MakeDegradedResult(
           SPEAR_ASSIGN_OR_RETURN(v, EvaluateFromStats(config_.aggregate,
                                                       stats));
         }
-        result.groups.emplace_back(key, v);
+        result.groups.emplace_back(tracker.key_at(slot), v);
         processed += stats.count();
       }
-      std::sort(result.groups.begin(), result.groups.end());
       result.tuples_processed = processed;
       return result;
     }
@@ -711,8 +707,8 @@ Result<WindowResult> SpearWindowManager::DecideWindow(
       if (est.accepted && meets_spec(est.epsilon_hat)) {
         result.approximate = true;
         result.estimated_error = est.epsilon_hat + inflate;
-        SPEAR_RETURN_NOT_OK(
-            PopulateGroupedResultFromScan(bounds, est.allocations, &result));
+        SPEAR_RETURN_NOT_OK(PopulateGroupedResultFromScan(
+            bounds, *state->groups, est.sample_sizes, &result));
         *needs_scan = true;
         return result;
       }
@@ -727,22 +723,15 @@ Result<WindowResult> SpearWindowManager::DecideWindow(
         *needs_exact = true;
         return result;
       }
-      std::vector<GroupAllocation> allocations;
-      allocations.reserve(state->groups->num_groups());
-      for (const auto& [key, stats] : state->groups->groups()) {
-        const auto it = state->group_samples.find(key);
-        const std::uint64_t n =
-            it == state->group_samples.end() ? 0 : it->second.sample().size();
-        allocations.push_back(GroupAllocation{key, stats.count(), n});
+      // Errors under the reservoirs' actual sizes (one per slot).
+      std::vector<std::uint64_t> sample_sizes(state->groups->num_groups(), 0);
+      for (std::size_t slot = 0; slot < state->group_samples.size(); ++slot) {
+        sample_sizes[slot] = state->group_samples[slot].sample().size();
       }
-      std::sort(allocations.begin(), allocations.end(),
-                [](const GroupAllocation& a, const GroupAllocation& b) {
-                  return a.key < b.key;
-                });
       SPEAR_ASSIGN_OR_RETURN(
           const GroupedEstimate est,
           EstimateGroupedWithAllocations(
-              config_.aggregate, *state->groups, std::move(allocations),
+              config_.aggregate, *state->groups, std::move(sample_sizes),
               config_.accuracy, config_.group_error_norm,
               config_.quantile_bound));
       if (est.accepted && meets_spec(est.epsilon_hat)) {
@@ -1005,11 +994,33 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
 }
 
 void SpearWindowManager::EvictExpired() {
-  buffer_.erase(std::remove_if(buffer_.begin(), buffer_.end(),
-                               [&](const Entry& e) {
-                                 return e.coord < next_window_start_;
-                               }),
-                buffer_.end());
+  if (!key_extractor_) {
+    buffer_.erase(std::remove_if(buffer_.begin(), buffer_.end(),
+                                 [&](const Entry& e) {
+                                   return e.coord < next_window_start_;
+                                 }),
+                  buffer_.end());
+  } else {
+    // Same compaction, keeping the key-id side array aligned; an evicted
+    // tuple drops its id reference.
+    auto out = buffer_.begin();
+    auto key_out = buffer_keys_.begin();
+    auto key_it = buffer_keys_.begin();
+    for (auto it = buffer_.begin(); it != buffer_.end(); ++it, ++key_it) {
+      if (it->coord < next_window_start_) {
+        keys_.Unref(*key_it);
+        continue;
+      }
+      if (out != it) {
+        *out = std::move(*it);
+        *key_out = *key_it;
+      }
+      ++out;
+      ++key_out;
+    }
+    buffer_.erase(out, buffer_.end());
+    buffer_keys_.erase(key_out, buffer_keys_.end());
+  }
   // Drop window states that can no longer complete (safety: normally the
   // processing loop erased them).
   while (!window_states_.empty() &&
@@ -1079,15 +1090,15 @@ Result<std::string> SpearWindowManager::SnapshotState() const {
       wire::AppendU8(&out, state.groups->overflowed() ? 1 : 0);
       wire::AppendU64(&out, state.groups->shed());
       wire::AppendU64(&out, state.groups->num_groups());
-      for (const auto& [key, stats] : state.groups->groups()) {
-        wire::AppendString(&out, key);
-        AppendRunningStats(&out, stats);
+      for (std::size_t slot = 0; slot < state.groups->num_groups(); ++slot) {
+        wire::AppendString(&out, state.groups->key_at(slot));
+        AppendRunningStats(&out, state.groups->stats_at(slot));
       }
     }
     wire::AppendU64(&out, state.group_samples.size());
-    for (const auto& [key, sampler] : state.group_samples) {
-      wire::AppendString(&out, key);
-      AppendReservoir(&out, sampler);
+    for (std::size_t slot = 0; slot < state.group_samples.size(); ++slot) {
+      wire::AppendString(&out, state.groups->key_at(slot));
+      AppendReservoir(&out, state.group_samples[slot]);
     }
   }
   return out;
@@ -1109,6 +1120,8 @@ Status SpearWindowManager::RestoreState(const std::string& payload) {
 
   // From here on the manager is rebuilt wholesale; the raw buffer was not
   // serialized and starts empty (the executor replays what it logged).
+  for (const std::uint32_t id : buffer_keys_) keys_.Unref(id);
+  buffer_keys_.clear();
   buffer_.clear();
   spilled_coords_.clear();
   window_states_.clear();
@@ -1198,7 +1211,7 @@ Status SpearWindowManager::RestoreState(const std::string& payload) {
       SPEAR_ASSIGN_OR_RETURN(const std::uint64_t tracker_shed,
                              reader.ReadU64());
       SPEAR_ASSIGN_OR_RETURN(const std::uint64_t n, reader.ReadU64());
-      state.groups = std::make_unique<GroupStatsTracker>(max_groups);
+      state.groups = std::make_unique<GroupStatsTracker>(max_groups, &keys_);
       for (std::uint64_t k = 0; k < n; ++k) {
         SPEAR_ASSIGN_OR_RETURN(const std::string key, reader.ReadString());
         SPEAR_ASSIGN_OR_RETURN(const RunningStats stats,
@@ -1209,7 +1222,12 @@ Status SpearWindowManager::RestoreState(const std::string& payload) {
       if (tracker_shed > 0) state.groups->NoteShed(tracker_shed);
     }
 
+    // Per-group reservoirs, keyed by group in the payload; each goes to its
+    // group's tracker slot. A reservoir whose group the tracker dropped
+    // (overflow) is read and discarded: that window cannot expedite.
     SPEAR_ASSIGN_OR_RETURN(const std::uint64_t num_samplers, reader.ReadU64());
+    const std::size_t num_slots = state.groups ? state.groups->num_groups() : 0;
+    std::vector<std::optional<ReservoirSampler<double>>> by_slot(num_slots);
     for (std::uint64_t k = 0; k < num_samplers; ++k) {
       SPEAR_ASSIGN_OR_RETURN(const std::string key, reader.ReadString());
       SPEAR_ASSIGN_OR_RETURN(const std::uint64_t capacity, reader.ReadU64());
@@ -1225,14 +1243,26 @@ Status SpearWindowManager::RestoreState(const std::string& payload) {
       if (capacity == 0) {
         return Status::Invalid("spear snapshot: reservoir capacity 0");
       }
-      auto [it, inserted] = state.group_samples.emplace(
-          key, ReservoirSampler<double>(capacity,
-                                        config_.seed + sampler_seq_++));
-      if (!inserted) {
+      ReservoirSampler<double> sampler(capacity,
+                                       config_.seed + sampler_seq_++);
+      SPEAR_RETURN_NOT_OK(sampler.Restore(std::move(values), seen, skipped));
+      const std::uint32_t slot =
+          state.groups ? state.groups->SlotOf(keys_.Find(key))
+                       : GroupStatsTracker::kNoSlot;
+      if (slot == GroupStatsTracker::kNoSlot) continue;
+      if (by_slot[slot]) {
         return Status::Invalid("spear snapshot: duplicate group sampler");
       }
-      SPEAR_RETURN_NOT_OK(
-          it->second.Restore(std::move(values), seen, skipped));
+      by_slot[slot].emplace(std::move(sampler));
+    }
+    if (num_samplers > 0) {
+      state.group_samples.reserve(num_slots);
+      for (auto& sampler : by_slot) {
+        if (!sampler) {
+          return Status::Invalid("spear snapshot: group without reservoir");
+        }
+        state.group_samples.push_back(std::move(*sampler));
+      }
     }
 
     window_states_.emplace(start, std::move(state));
@@ -1270,8 +1300,9 @@ std::size_t SpearWindowManager::BudgetMemoryBytes() const {
     total += sizeof(WindowState);
     if (state.sample) total += state.sample->sample().size() * sizeof(double);
     if (state.groups) total += state.groups->EstimatedBytes();
-    for (const auto& [key, sampler] : state.group_samples) {
-      total += key.size() + sampler.sample().size() * sizeof(double);
+    // Known-group reservoirs: at most the declared group count per window.
+    for (const ReservoirSampler<double>& sampler : state.group_samples) {
+      total += sampler.sample().size() * sizeof(double);
     }
   }
   return total;

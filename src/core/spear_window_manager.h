@@ -4,8 +4,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/spear_config.h"
@@ -15,6 +15,7 @@
 #include "ops/window_result.h"
 #include "runtime/metrics.h"
 #include "stats/group_stats.h"
+#include "stats/key_dictionary.h"
 #include "stats/reservoir_sampler.h"
 #include "storage/secondary_storage.h"
 #include "tuple/field_extractor.h"
@@ -37,6 +38,14 @@
 /// stratified-sample construction scan for grouped operations. Otherwise
 /// the whole window is materialized (possibly from S) and processed
 /// exactly, matching a normal SPE's cost.
+///
+/// Grouped modes key everything by dense group ids: OnTuple extracts and
+/// interns the key once per tuple (KeyDictionary), the buffer keeps each
+/// tuple's id in a side array, and the per-window trackers, per-group
+/// reservoirs and the stratified-sample scan index flat arrays by id/slot.
+/// Key strings remain only at the edges: the exact fallback, result
+/// emission, the snapshot payload, and re-interning tuples fetched back
+/// from S.
 
 namespace spear {
 
@@ -170,6 +179,10 @@ class SpearWindowManager {
     return buffer_.size() + spilled_coords_.size();
   }
 
+  /// Group-key ids held by in-memory buffered tuples and open windows'
+  /// group slots (grouped modes; empty for scalar modes).
+  const KeyDictionary& key_dictionary() const { return keys_; }
+
   /// Bytes of budget state (samples + statistics) across active windows —
   /// the "memory used for producing the result" of Fig. 7.
   std::size_t BudgetMemoryBytes() const;
@@ -221,15 +234,19 @@ class SpearWindowManager {
     RunningStats stats;                    ///< full-window moments (scalar)
     std::unique_ptr<ReservoirSampler<double>> sample;  ///< scalar modes
     std::unique_ptr<GroupStatsTracker> groups;         ///< grouped modes
-    /// Per-group reservoirs (kGroupedKnown only).
-    std::unordered_map<std::string, ReservoirSampler<double>> group_samples;
+    /// Per-group reservoirs, indexed by the tracker's slots (kGroupedKnown
+    /// only).
+    std::vector<ReservoirSampler<double>> group_samples;
   };
 
   static SpearMode DeriveMode(const SpearOperatorConfig& config,
                               bool is_grouped);
 
   WindowState& StateFor(std::int64_t window_start);
-  void UpdateWindowState(WindowState* state, const Tuple& tuple);
+  /// Alg. 1 budget update of one window; `key_id` is the tuple's group id
+  /// (grouped modes only).
+  void UpdateWindowState(WindowState* state, double value,
+                         std::uint32_t key_id);
 
   /// Decides + produces the result for one complete window. Sets
   /// `needs_tuples` when the exact fallback (or the grouped stratified
@@ -243,13 +260,19 @@ class SpearWindowManager {
 
   /// Builds the stratified sample for an accepted grouped-unknown window
   /// by scanning the buffer once, then evaluates every group.
+  /// `sample_sizes` is the per-slot allocation n_g.
   Status PopulateGroupedResultFromScan(
-      const WindowBounds& bounds, const std::vector<GroupAllocation>& allocs,
-      WindowResult* result);
+      const WindowBounds& bounds, const GroupStatsTracker& tracker,
+      const std::vector<std::uint64_t>& sample_sizes, WindowResult* result);
 
   /// Evaluates groups from per-group reservoirs (kGroupedKnown accept).
   Status PopulateGroupedResultFromReservoirs(const WindowState& state,
                                              WindowResult* result);
+
+  /// One group's aggregate from its stratified sample and its exact
+  /// window frequency N_g.
+  Result<double> GroupValue(std::span<const double> sample,
+                            std::uint64_t frequency) const;
 
   /// Materializes a window's tuples for exact processing. A non-zero
   /// `deadline_ns` (absolute, NowNs clock) makes the copy loop check the
@@ -277,6 +300,9 @@ class SpearWindowManager {
 
   Status UnspillAll();
   void EvictExpired();
+  /// Appends one tuple to the in-memory buffer; grouped modes hand over
+  /// one reference on its key id.
+  void PushBuffered(std::int64_t coord, Tuple tuple, std::uint32_t key_id);
 
   const SpearOperatorConfig config_;
   const SpearMode mode_;
@@ -290,7 +316,15 @@ class SpearWindowManager {
   const ExactWindowOperator exact_operator_;
   std::optional<BudgetController> budget_controller_;
 
+  /// Group-key ids. Declared before everything that holds ids, so it
+  /// outlives them.
+  KeyDictionary keys_;
+
   std::deque<Entry> buffer_;
+  /// Key id of each in-memory buffered tuple, aligned with `buffer_`
+  /// (grouped modes only: scalar entries stay narrow). Each holds one
+  /// reference; spilled tuples hold none and are re-interned on fetch.
+  std::vector<std::uint32_t> buffer_keys_;
   std::vector<std::int64_t> spilled_coords_;
   std::uint64_t spill_seq_ = 0;
 

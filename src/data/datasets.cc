@@ -69,7 +69,10 @@ std::vector<Tuple> DebsGenerator::Generate(const Config& config) {
         config.active_routes / 2);
     const std::int64_t route_id =
         pool_shift + static_cast<std::int64_t>(route_index);
-    std::string route = "r" + std::to_string(route_id);
+    // Built by append: GCC 12 reports a -Wrestrict false positive on
+    // `"r" + std::to_string(...)` at -O3 (Release builds use -Werror).
+    std::string route(1, 'r');
+    route += std::to_string(route_id);
 
     // Fares are route-determined (a route fixes the trip distance), with
     // small per-ride variation (traffic, tip): the between-route spread is

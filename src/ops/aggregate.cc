@@ -31,7 +31,11 @@ const char* AggregateKindName(AggregateKind kind) {
 std::string AggregateSpec::ToString() const {
   std::string out = AggregateKindName(kind);
   if (kind == AggregateKind::kPercentile) {
-    out += "(" + std::to_string(phi) + ")";
+    // Appended piecewise: GCC 12 reports a -Wrestrict false positive on
+    // `"(" + std::to_string(...)` at -O3.
+    out += '(';
+    out += std::to_string(phi);
+    out += ')';
   }
   return out;
 }

@@ -54,14 +54,25 @@ Result<std::vector<GroupAllocation>> CongressAllocate(
   const double g = static_cast<double>(frequencies.size());
   std::unordered_map<std::string, double> weights;
   weights.reserve(frequencies.size());
-  double total_weight = 0.0;
+  // The normalizer Σ max(house, senate) is summed as (Σ_House freq)/total +
+  // |Senate|/g: exact integer sums, so it does not depend on the map's
+  // iteration order (a floating-point sum in hash order would move n_g
+  // across a floor boundary depending on how the keys happen to hash).
+  std::uint64_t house_total = 0;
+  std::size_t senate_groups = 0;
   for (const auto& [key, freq] : frequencies) {
     const double house = static_cast<double>(freq) / static_cast<double>(total);
     const double senate = 1.0 / g;
-    const double w = std::max(house, senate);
-    weights.emplace(key, w);
-    total_weight += w;
+    weights.emplace(key, std::max(house, senate));
+    if (freq * frequencies.size() > total) {
+      house_total += freq;
+    } else {
+      ++senate_groups;
+    }
   }
+  const double total_weight =
+      static_cast<double>(house_total) / static_cast<double>(total) +
+      static_cast<double>(senate_groups) / g;
   return AllocateByWeight(frequencies, weights, total_weight, budget);
 }
 

@@ -12,7 +12,14 @@ std::string WindowSpec::ToString() const {
 }
 
 std::string WindowBounds::ToString() const {
-  return "[" + std::to_string(start) + ", " + std::to_string(end) + ")";
+  // Appended piecewise: GCC 12 reports a -Wrestrict false positive on
+  // `"[" + std::to_string(...)` at -O3.
+  std::string out(1, '[');
+  out += std::to_string(start);
+  out += ", ";
+  out += std::to_string(end);
+  out += ')';
+  return out;
 }
 
 }  // namespace spear

@@ -54,7 +54,8 @@ std::vector<Tuple> MakeStream(std::uint64_t seed, int tuples) {
                      std::exp(0.3 * rng.NextGaussian());
     out.emplace_back(
         i % 2000,
-        std::vector<Value>{Value("g" + std::to_string(group)), Value(v)});
+        std::vector<Value>{
+            Value(std::string("g").append(std::to_string(group))), Value(v)});
   }
   return out;
 }

@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "core/spear_window_manager.h"
+#include "stats/confidence.h"
 #include "stats/quantile.h"
 #include "stats/reservoir_sampler.h"
+#include "stats/stratified_sample.h"
 
 namespace spear {
 namespace {
@@ -271,6 +280,19 @@ GroupStatsTracker MakeTracker(
   return tracker;
 }
 
+/// The slot-indexed allocation of an estimate as (key, N_g, n_g) records
+/// sorted by key — CongressAllocate's output shape.
+std::vector<GroupAllocation> AllocationsByKey(const GroupStatsTracker& tracker,
+                                              const GroupedEstimate& est) {
+  std::vector<GroupAllocation> out;
+  for (const std::uint32_t slot : tracker.SlotsByKey()) {
+    out.push_back(GroupAllocation{tracker.key_at(slot),
+                                  tracker.stats_at(slot).count(),
+                                  est.sample_sizes[slot]});
+  }
+  return out;
+}
+
 TEST(EstimateGroupedTest, OverflowForcesExact) {
   GroupStatsTracker tracker(1);
   tracker.Update("a", 1.0);
@@ -284,7 +306,9 @@ TEST(EstimateGroupedTest, OverflowForcesExact) {
 
 TEST(EstimateGroupedTest, MoreGroupsThanBudgetForcesExact) {
   GroupStatsTracker tracker;
-  for (int i = 0; i < 50; ++i) tracker.Update("g" + std::to_string(i), 1.0);
+  for (int i = 0; i < 50; ++i) {
+    tracker.Update(std::string("g").append(std::to_string(i)), 1.0);
+  }
   auto est = EstimateGrouped(AggregateSpec::Mean(), tracker, 10, kTenPercent);
   ASSERT_TRUE(est.ok());
   EXPECT_FALSE(est->accepted);
@@ -306,7 +330,7 @@ TEST(EstimateGroupedTest, TightGroupsAccepted) {
   ASSERT_TRUE(est.ok());
   EXPECT_TRUE(est->accepted);
   EXPECT_LT(est->epsilon_hat, 0.10);
-  EXPECT_EQ(est->allocations.size(), 3u);
+  EXPECT_EQ(est->sample_sizes.size(), 3u);
   EXPECT_EQ(est->group_errors.size(), 3u);
 }
 
@@ -354,9 +378,9 @@ TEST(EstimateGroupedTest, L1VsLInfDecisionsDiffer) {
 
 TEST(EstimateGroupedWithAllocationsTest, KnownGroupReservoirSizes) {
   auto tracker = MakeTracker({{"a", 1000, 10.0, 0.1}, {"b", 500, 5.0, 0.1}});
-  std::vector<GroupAllocation> allocs{{"a", 1000, 200}, {"b", 500, 200}};
+  const std::vector<std::uint64_t> sizes{200, 200};  // slots "a", "b"
   auto est = EstimateGroupedWithAllocations(AggregateSpec::Mean(), tracker,
-                                            allocs, kTenPercent);
+                                            sizes, kTenPercent);
   ASSERT_TRUE(est.ok());
   EXPECT_TRUE(est->accepted);
 }
@@ -377,7 +401,7 @@ TEST(EstimateGroupedTest, InlineAllocationMatchesCongressAllocate) {
   GroupStatsTracker tracker;
   std::unordered_map<std::string, std::uint64_t> frequencies;
   for (int g = 0; g < 200; ++g) {
-    const std::string key = "g" + std::to_string(g);
+    const std::string key = std::string("g").append(std::to_string(g));
     const std::uint64_t freq = 1 + rng.NextBounded(500);
     for (std::uint64_t i = 0; i < freq; ++i) tracker.Update(key, 1.0);
     frequencies[key] = freq;
@@ -388,11 +412,13 @@ TEST(EstimateGroupedTest, InlineAllocationMatchesCongressAllocate) {
     auto reference = CongressAllocate(frequencies, budget);
     ASSERT_TRUE(est.ok());
     ASSERT_TRUE(reference.ok());
-    ASSERT_EQ(est->allocations.size(), reference->size());
+    const std::vector<GroupAllocation> allocations =
+        AllocationsByKey(tracker, *est);
+    ASSERT_EQ(allocations.size(), reference->size());
     for (std::size_t i = 0; i < reference->size(); ++i) {
-      EXPECT_EQ(est->allocations[i].key, (*reference)[i].key);
-      EXPECT_EQ(est->allocations[i].frequency, (*reference)[i].frequency);
-      EXPECT_EQ(est->allocations[i].sample_size, (*reference)[i].sample_size)
+      EXPECT_EQ(allocations[i].key, (*reference)[i].key);
+      EXPECT_EQ(allocations[i].frequency, (*reference)[i].frequency);
+      EXPECT_EQ(allocations[i].sample_size, (*reference)[i].sample_size)
           << (*reference)[i].key << " @ budget " << budget;
     }
   }
@@ -411,6 +437,215 @@ TEST(EstimateGroupedTest, GroupedQuantileUsesRankBound) {
                                kTenPercent);
   ASSERT_TRUE(small.ok());
   EXPECT_FALSE(small->accepted);
+}
+
+// ---------------------------------------------------------------------------
+// Differential: id-keyed grouped estimation against string-keyed references
+// ---------------------------------------------------------------------------
+
+/// A DEBS-like sparse grouping: `sparse` routes with 1-3 rides each (fare
+/// fixed per route, ~5% ride noise) plus `dense` wide-spread groups of a
+/// few hundred rides, in shuffled arrival order so that tracker slots are
+/// not in key order.
+std::vector<std::pair<std::string, double>> SparseGrouping(std::uint64_t seed,
+                                                           int sparse,
+                                                           int dense) {
+  Rng rng(seed);
+  std::vector<std::pair<std::string, double>> out;
+  for (int g = 0; g < sparse; ++g) {
+    const std::string key = std::string("r").append(std::to_string(g));
+    const double fare = 5.0 + 20.0 * rng.NextDouble();
+    const int rides = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int i = 0; i < rides; ++i) {
+      out.emplace_back(key, fare * (1.0 + 0.05 * rng.NextGaussian()));
+    }
+  }
+  for (int g = 0; g < dense; ++g) {
+    const std::string key = std::string("dense").append(std::to_string(g));
+    const int rides = 200 + static_cast<int>(rng.NextBounded(300));
+    for (int i = 0; i < rides; ++i) {
+      out.emplace_back(key, 50.0 * (0.7 + 0.6 * rng.NextDouble()));
+    }
+  }
+  for (std::size_t i = out.size(); i > 1; --i) {
+    std::swap(out[i - 1], out[rng.NextBounded(i)]);
+  }
+  return out;
+}
+
+TEST(EstimateGroupedDifferentialTest, SparseGroupingsMatchStringKeyedOracle) {
+  const auto z = NormalDeviate(kTenPercent.confidence);
+  ASSERT_TRUE(z.ok());
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto tuples = SparseGrouping(seed, seed % 2 == 0 ? 2000 : 5000, 4);
+    GroupStatsTracker tracker;
+    std::unordered_map<std::string, std::uint64_t> frequencies;
+    std::map<std::string, RunningStats> moments;
+    for (const auto& [key, value] : tuples) {
+      tracker.Update(key, value);
+      ++frequencies[key];
+      moments[key].Update(value);
+    }
+    const std::uint64_t groups = frequencies.size();
+    for (const std::uint64_t budget :
+         {groups, groups + groups / 3, 2 * groups, tuples.size() / 2}) {
+      if (budget < groups) continue;
+      auto est = EstimateGrouped(AggregateSpec::Mean(), tracker, budget,
+                                 kTenPercent);
+      auto reference = CongressAllocate(frequencies, budget);
+      ASSERT_TRUE(est.ok());
+      ASSERT_TRUE(reference.ok());
+      const std::vector<GroupAllocation> allocations =
+          AllocationsByKey(tracker, *est);
+      ASSERT_EQ(allocations.size(), reference->size());
+      // ε̂ recomputed from string-keyed moments: per-group relative CI
+      // half-width under the reference allocation, averaged (L1).
+      double l1 = 0.0;
+      for (std::size_t i = 0; i < reference->size(); ++i) {
+        const GroupAllocation& want = (*reference)[i];
+        ASSERT_EQ(allocations[i].key, want.key);
+        ASSERT_EQ(allocations[i].frequency, want.frequency) << want.key;
+        ASSERT_EQ(allocations[i].sample_size, want.sample_size)
+            << want.key << " @ budget " << budget << ", seed " << seed;
+        const RunningStats& m = moments.at(want.key);
+        const double n = static_cast<double>(want.sample_size);
+        const double fpc =
+            want.sample_size >= want.frequency
+                ? 0.0
+                : std::sqrt(1.0 - n / static_cast<double>(want.frequency));
+        const double half = *z * m.PopulationStdDev() / std::sqrt(n) * fpc;
+        l1 += half == 0.0 ? 0.0 : half / std::fabs(m.mean());
+      }
+      l1 /= static_cast<double>(reference->size());
+      EXPECT_NEAR(est->epsilon_hat, l1, 1e-12)
+          << "budget " << budget << ", seed " << seed;
+    }
+  }
+}
+
+// The flat single-pass stratified sample keeps exactly min(n_g, N_g)
+// values per group, every one drawn from that group's own tuples, each
+// tuple at most once.
+TEST(StratifiedSampleTest, KeepsMinOfAllocationAndGroupSizeFromOwnGroup) {
+  Rng rng(11);
+  const std::size_t groups = 3000;
+  std::vector<std::uint64_t> frequency(groups);
+  std::vector<std::uint64_t> sizes(groups);
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> arrivals;
+  for (std::uint32_t g = 0; g < groups; ++g) {
+    frequency[g] = g < 5 ? 200 + rng.NextBounded(300) : 1 + rng.NextBounded(3);
+    // Allocations at, below and (as a boundary case) above N_g.
+    sizes[g] = 1 + rng.NextBounded(frequency[g] + 2);
+    for (std::uint64_t i = 0; i < frequency[g]; ++i) {
+      arrivals.emplace_back(g, i);
+    }
+  }
+  for (std::size_t i = arrivals.size(); i > 1; --i) {
+    std::swap(arrivals[i - 1], arrivals[rng.NextBounded(i)]);
+  }
+  // A tuple's value encodes (group, index within group).
+  constexpr double kStride = 1e4;
+  StratifiedSample sample(sizes, 99);
+  std::uint64_t extracted = 0;
+  for (const auto& [g, i] : arrivals) {
+    sample.Offer(g, [&, g = g, i = i] {
+      ++extracted;
+      return static_cast<double>(g) * kStride + static_cast<double>(i);
+    });
+  }
+  std::uint64_t kept = 0;
+  for (std::uint32_t g = 0; g < groups; ++g) {
+    EXPECT_EQ(sample.seen(g), frequency[g]);
+    const auto values = sample.sample(g);
+    ASSERT_EQ(values.size(), std::min(sizes[g], frequency[g])) << "group " << g;
+    std::set<double> distinct;
+    for (const double v : values) {
+      EXPECT_EQ(static_cast<std::uint32_t>(v / kStride), g);
+      EXPECT_LT(std::fmod(v, kStride), static_cast<double>(frequency[g]));
+      distinct.insert(v);
+    }
+    EXPECT_EQ(distinct.size(), values.size()) << "group " << g;
+    kept += values.size();
+  }
+  // Values are extracted only for kept tuples (plus replaced ones), never
+  // for every tuple of a large group.
+  EXPECT_LT(extracted, arrivals.size());
+  EXPECT_GE(extracted, kept);
+}
+
+// Algorithm R inline: every tuple of a group is equally likely to end up
+// in its group's sample (inclusion probability n_g / N_g).
+TEST(StratifiedSampleTest, InclusionIsUniformWithinAGroup) {
+  const std::vector<std::uint64_t> sizes{3, 1};
+  constexpr int kTrials = 20000;
+  std::vector<int> hits(10, 0);
+  for (int t = 0; t < kTrials; ++t) {
+    StratifiedSample sample(sizes, 1000 + t);
+    for (int i = 0; i < 10; ++i) {
+      sample.Offer(0, [i] { return static_cast<double>(i); });
+      sample.Offer(1, [] { return -1.0; });
+    }
+    for (const double v : sample.sample(0)) ++hits[static_cast<int>(v)];
+  }
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_NEAR(hits[i] / static_cast<double>(kTrials), 0.3, 0.02)
+        << "tuple " << i;
+  }
+}
+
+// The accepted-window scan through the manager: with sliding windows the
+// buffer also holds the next window's tuples, which must never enter the
+// closing window's sample. Values are constant per group inside the
+// window and huge outside it, so any leak shows in the group's sum; the
+// sample size is the reference allocation's Σ min(n_g, N_g).
+TEST(StratifiedSampleTest, ManagerScanSamplesOnlyItsWindow) {
+  SpearOperatorConfig config;
+  config.window = WindowSpec::SlidingTime(1000, 500);
+  config.aggregate = AggregateSpec::Sum();
+  config.accuracy = kTenPercent;
+  config.budget = Budget::Tuples(800);
+  SpearWindowManager manager(config, NumericField(1), KeyField(0));
+
+  Rng rng(5);
+  const auto fare = [](const std::string& key) {
+    return 10.0 + static_cast<double>(std::hash<std::string>{}(key) % 90);
+  };
+  std::map<std::int64_t, std::map<std::string, std::uint64_t>> truth;
+  for (std::int64_t c = 0; c < 1500; ++c) {
+    const std::string key =
+        rng.NextDouble() < 0.3
+            ? std::string("dense").append(std::to_string(rng.NextBounded(4)))
+            : std::string("r").append(std::to_string(rng.NextBounded(3000)));
+    const double value = c < 1000 ? fare(key) : 1e6;
+    manager.OnTuple(c, Tuple(c, {Value(key), Value(value)}));
+    for (const std::int64_t start : {c - c % 500 - 500, c - c % 500}) {
+      if (start + 1000 <= 1000) ++truth[start][key];
+    }
+  }
+  auto results = manager.OnWatermark(1000);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  ASSERT_EQ(results->size(), truth.size());
+  for (const WindowResult& r : *results) {
+    const auto& groups = truth.at(r.bounds.start);
+    ASSERT_TRUE(r.approximate && !r.degraded) << "window must expedite";
+    ASSERT_EQ(r.groups.size(), groups.size());
+    std::unordered_map<std::string, std::uint64_t> frequencies(groups.begin(),
+                                                               groups.end());
+    auto reference = CongressAllocate(frequencies, 800);
+    ASSERT_TRUE(reference.ok());
+    std::uint64_t expected_sample = 0;
+    for (const GroupAllocation& a : *reference) {
+      expected_sample += std::min(a.sample_size, a.frequency);
+    }
+    EXPECT_EQ(r.tuples_processed, expected_sample);
+    auto want = groups.begin();
+    for (const auto& [key, sum] : r.groups) {
+      ASSERT_EQ(key, want->first);
+      EXPECT_DOUBLE_EQ(sum, fare(key) * static_cast<double>(want->second))
+          << key;
+      ++want;
+    }
+  }
 }
 
 }  // namespace

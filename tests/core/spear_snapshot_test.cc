@@ -242,5 +242,71 @@ TEST(SpearSnapshotTest, RestoreReadoptsSpillManifestWithoutDuplication) {
   EXPECT_TRUE((*results)[0].approximate);
 }
 
+// Keys in a grouped snapshot are strings; restore interns them afresh and
+// replayed tuples must land on the restored groups' slots (same id), not
+// on duplicates. Counts make that exact: the recovered window answers
+// from its tracker, so every group's count must equal the clean run's.
+// The payload keeps its format and version byte (2).
+TEST(SpearSnapshotTest, GroupedKeysReinternAfterRestoreAndReplay) {
+  SpearOperatorConfig config = MeanConfig();
+  config.aggregate = AggregateSpec::Count();
+  config.budget = Budget::Tuples(64);
+  const auto key_of = [](int i) {
+    return std::string("k").append(std::to_string((i * 7) % 11));
+  };
+  const auto tuple = [&](int i) {
+    return Tuple(i, std::vector<Value>{Value(key_of(i)), Value(1.0)});
+  };
+
+  SpearWindowManager primary(config, NumericField(1), KeyField(0));
+  for (int i = 0; i < 60; ++i) primary.OnTuple(i, tuple(i));
+  Result<std::string> payload = primary.SnapshotState();
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  ASSERT_FALSE(payload->empty());
+  EXPECT_EQ(static_cast<std::uint8_t>((*payload)[0]), 2u);
+
+  SpearWindowManager restored(config, NumericField(1), KeyField(0));
+  ASSERT_TRUE(restored.RestoreState(*payload).ok());
+  // The restored window's groups hold their ids; nothing is buffered yet.
+  EXPECT_EQ(restored.key_dictionary().live(), 11u);
+  for (int i = 60; i < 150; ++i) {
+    primary.OnTuple(i, tuple(i));
+    restored.OnTuple(i, tuple(i));
+  }
+  EXPECT_EQ(restored.key_dictionary().live(),
+            primary.key_dictionary().live());
+
+  auto clean = primary.OnWatermark(200);
+  auto recovered = restored.OnWatermark(200);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_EQ(clean->size(), 2u);
+  ASSERT_EQ(recovered->size(), 2u);
+  EXPECT_TRUE((*recovered)[0].recovered);
+  EXPECT_FALSE((*recovered)[1].recovered);  // opened after the restore
+  for (std::size_t w = 0; w < 2; ++w) {
+    const WindowResult& want = (*clean)[w];
+    const WindowResult& got = (*recovered)[w];
+    EXPECT_EQ(got.window_size, want.window_size);
+    ASSERT_EQ(got.groups.size(), want.groups.size()) << "window " << w;
+    for (std::size_t g = 0; g < want.groups.size(); ++g) {
+      EXPECT_EQ(got.groups[g].first, want.groups[g].first);
+      EXPECT_DOUBLE_EQ(got.groups[g].second, want.groups[g].second)
+          << want.groups[g].first << " in window " << w;
+    }
+  }
+  EXPECT_EQ(restored.key_dictionary().live(), 0u);
+  EXPECT_EQ(primary.key_dictionary().live(), 0u);
+
+  // A second round trip through the restored manager decodes too.
+  restored.OnTuple(250, tuple(250));
+  Result<std::string> again = restored.SnapshotState();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(static_cast<std::uint8_t>((*again)[0]), 2u);
+  SpearWindowManager third(config, NumericField(1), KeyField(0));
+  EXPECT_TRUE(third.RestoreState(*again).ok());
+  EXPECT_EQ(third.key_dictionary().live(), 1u);
+}
+
 }  // namespace
 }  // namespace spear

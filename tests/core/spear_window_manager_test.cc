@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
+#include <unordered_map>
 
 #include "common/rng.h"
+#include "data/datasets.h"
 #include "ops/exact_operator.h"
 #include "stats/error_metrics.h"
 #include "window/single_buffer_manager.h"
+#include "window/window_assigner.h"
 
 namespace spear {
 namespace {
@@ -168,7 +172,8 @@ TEST(SpearManagerTest, GroupedUnknownExpeditesDenseGroups) {
   Rng rng(4);
   std::unordered_map<std::string, RunningStats> truth;
   for (int i = 0; i < 30000; ++i) {
-    const std::string key = "g" + std::to_string(rng.NextBounded(4));
+    const std::string key =
+        std::string("g").append(std::to_string(rng.NextBounded(4)));
     const double v = 100.0 * (key[1] - '0' + 1) + rng.NextGaussian();
     truth[key].Update(v);
     mgr.OnTuple(i % 1000, GroupTuple(i % 1000, key, v));
@@ -191,7 +196,8 @@ TEST(SpearManagerTest, GroupedUnknownFallsBackOnSparseGroups) {
   SpearWindowManager mgr(config, NumericField(1), KeyField(0));
   // 500 distinct groups >> budget of 50 group slots: tracker overflows.
   for (int i = 0; i < 500; ++i) {
-    mgr.OnTuple(i, GroupTuple(i, "g" + std::to_string(i), 1.0));
+    mgr.OnTuple(
+        i, GroupTuple(i, std::string("g").append(std::to_string(i)), 1.0));
   }
   auto results = mgr.OnWatermark(1000);
   ASSERT_TRUE(results.ok());
@@ -211,7 +217,8 @@ TEST(SpearManagerTest, GroupedKnownSamplesAtTupleArrival) {
   Rng rng(5);
   std::unordered_map<std::string, RunningStats> truth;
   for (int i = 0; i < 50000; ++i) {
-    const std::string key = "c" + std::to_string(rng.NextBounded(8));
+    const std::string key =
+        std::string("c").append(std::to_string(rng.NextBounded(8)));
     const double v = 10.0 * (key[1] - '0' + 1) + 0.5 * rng.NextGaussian();
     truth[key].Update(v);
     mgr.OnTuple(i % 1000, GroupTuple(i % 1000, key, v));
@@ -236,7 +243,8 @@ TEST(SpearManagerTest, GroupedKnownFallsBackWhenMoreGroupsAppear) {
   config.known_num_groups = 2;  // wrong declaration
   SpearWindowManager mgr(config, NumericField(1), KeyField(0));
   for (int i = 0; i < 100; ++i) {
-    mgr.OnTuple(i, GroupTuple(i, "g" + std::to_string(i % 5), 1.0));
+    mgr.OnTuple(
+        i, GroupTuple(i, std::string("g").append(std::to_string(i % 5)), 1.0));
   }
   auto results = mgr.OnWatermark(1000);
   ASSERT_TRUE(results.ok());
@@ -525,6 +533,138 @@ TEST(SpearManagerTest, ProcessingNsPopulated) {
   auto results = mgr.OnWatermark(1000);
   ASSERT_TRUE(results.ok());
   EXPECT_GT((*results)[0].processing_ns, 0);
+}
+
+// ---- group-key dictionary lifetime ---------------------------------------
+
+/// Distinct keys among the tuples fed with coordinate >= a moving floor.
+class LiveKeyModel {
+ public:
+  void Add(std::int64_t coord, const std::string& key) {
+    fed_.emplace_back(coord, key);
+    ++count_[key];
+  }
+  /// Forgets tuples below `floor` (floors only grow).
+  void DropBelow(std::int64_t floor) {
+    while (!fed_.empty() && fed_.front().first < floor) {
+      if (--count_[fed_.front().second] == 0) {
+        count_.erase(fed_.front().second);
+      }
+      fed_.pop_front();
+    }
+  }
+  std::size_t distinct() const { return count_.size(); }
+
+ private:
+  std::deque<std::pair<std::int64_t, std::string>> fed_;
+  std::unordered_map<std::string, std::uint64_t> count_;
+};
+
+// Six hours of DEBS rides with routes rotating every 30 minutes: the ids
+// live after each watermark are exactly the distinct routes among the
+// tuples still buffered (which cover every open window), the id space
+// never outgrows the keys live at once, and everything is released at the
+// end of the stream — while the run as a whole sees many times more
+// distinct routes than ids.
+TEST(SpearManagerTest, KeyDictionaryStaysBoundedByLiveKeys) {
+  DebsGenerator::Config debs;
+  debs.seed = 7;
+  debs.duration = Hours(6);
+  const std::vector<Tuple> stream = DebsGenerator::Generate(debs);
+
+  SpearOperatorConfig config;
+  config.window = WindowSpec::SlidingTime(Minutes(30), Minutes(15));
+  config.aggregate = AggregateSpec::Mean();
+  config.accuracy = AccuracySpec{0.10, 0.95};
+  config.budget = Budget::Tuples(4000);
+  SpearWindowManager mgr(config, NumericField(DebsGenerator::kFareField),
+                         KeyField(DebsGenerator::kRouteField));
+
+  LiveKeyModel model;
+  std::unordered_map<std::string, int> all_keys;
+  std::size_t peak_live = 0;
+  std::int64_t next_watermark = Minutes(1);
+  std::size_t watermarks = 0;
+  for (const Tuple& t : stream) {
+    while (t.event_time() >= next_watermark) {
+      peak_live = std::max(peak_live, model.distinct());
+      ASSERT_TRUE(mgr.OnWatermark(next_watermark).ok());
+      model.DropBelow(
+          FirstIncompleteWindowStart(config.window, next_watermark));
+      ASSERT_EQ(mgr.key_dictionary().live(), model.distinct())
+          << "after watermark " << next_watermark;
+      ++watermarks;
+      next_watermark += Minutes(1);
+    }
+    const std::string& key = t.field(DebsGenerator::kRouteField).AsString();
+    model.Add(t.event_time(), key);
+    ++all_keys[key];
+    mgr.OnTuple(t.event_time(), t);
+  }
+  ASSERT_GE(watermarks, 300u);
+  EXPECT_LE(mgr.key_dictionary().id_bound(),
+            std::max(peak_live, model.distinct()));
+  EXPECT_GT(all_keys.size(), 3 * mgr.key_dictionary().id_bound())
+      << "routes did not rotate: the bound shows nothing";
+
+  ASSERT_TRUE(mgr.OnWatermark(kMaxTimestamp).ok());
+  EXPECT_EQ(mgr.key_dictionary().live(), 0u);
+  EXPECT_EQ(mgr.BufferedTuples(), 0u);
+}
+
+// Tuples spilled to S give their id back and are re-interned when the
+// grouped scan fetches them: the stratified sample must still find every
+// group in the window's tracker, and (with a budget that samples every
+// tuple) match a manager that never spilled.
+TEST(SpearManagerTest, SpilledGroupedTuplesReinternOnFetch) {
+  auto config = BaseConfig();
+  config.aggregate = AggregateSpec::Mean();
+  config.budget = Budget::Tuples(5000);  // n_g = N_g for every group
+  SecondaryStorage storage;
+  auto spilling_config = config;
+  spilling_config.buffer_memory_capacity = 64;
+  SpearWindowManager spilling(spilling_config, NumericField(1), KeyField(0),
+                              &storage, "keys");
+  SpearWindowManager in_memory(config, NumericField(1), KeyField(0));
+
+  Rng rng(21);
+  std::map<std::string, RunningStats> exact;
+  for (int i = 0; i < 1500; ++i) {
+    const std::int64_t coord = i % 1000;
+    const std::string key =
+        std::string("g").append(std::to_string(rng.NextBounded(150)));
+    const double value = 10.0 + rng.NextDouble();
+    const Tuple t(coord, {Value(key), Value(value)});
+    spilling.OnTuple(coord, t);
+    in_memory.OnTuple(coord, t);
+    exact[key].Update(value);
+  }
+  ASSERT_GT(storage.TotalTuples(), 0u);
+  // Spilled tuples hold no id: only the in-memory buffer and the window's
+  // groups do.
+  EXPECT_EQ(spilling.key_dictionary().live(),
+            in_memory.key_dictionary().live());
+
+  auto spilled = spilling.OnWatermark(1000);
+  auto reference = in_memory.OnWatermark(1000);
+  ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+  ASSERT_TRUE(reference.ok());
+  ASSERT_EQ(spilled->size(), 1u);
+  ASSERT_EQ(reference->size(), 1u);
+  const WindowResult& r = (*spilled)[0];
+  EXPECT_TRUE(r.approximate);  // the scan ran, not the exact fallback
+  EXPECT_FALSE(r.degraded);
+  ASSERT_EQ(r.groups.size(), exact.size());
+  ASSERT_EQ((*reference)[0].groups.size(), exact.size());
+  auto want = exact.begin();
+  for (std::size_t g = 0; g < r.groups.size(); ++g, ++want) {
+    EXPECT_EQ(r.groups[g].first, want->first);
+    EXPECT_NEAR(r.groups[g].second, want->second.mean(), 1e-9);
+    EXPECT_EQ((*reference)[0].groups[g].first, want->first);
+    EXPECT_NEAR(r.groups[g].second, (*reference)[0].groups[g].second, 1e-9);
+  }
+  EXPECT_EQ(spilling.key_dictionary().live(), 0u);
+  EXPECT_EQ(storage.TotalTuples(), 0u);
 }
 
 }  // namespace

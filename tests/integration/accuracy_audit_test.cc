@@ -21,11 +21,11 @@
 /// runs, the fraction of *expedited* windows whose TRUE error (recomputed
 /// offline from the raw stream) stays within ε must be at least α, up to
 /// binomial sampling slack. The audit runs per aggregate (sum / mean /
-/// quantile / count-min), and again under load shedding and under
-/// crash-recovery loss — the paths that widen ε̂_w. A guard test breaks
-/// the loss accounting on purpose (IgnoreLossAccountingForTesting) and
-/// asserts the audit DETECTS it: a test suite that cannot fail proves
-/// nothing.
+/// quantile / count-min, and grouped windows with an unknown group count),
+/// and again under load shedding and under crash-recovery loss — the paths
+/// that widen ε̂_w. Guard tests break the loss accounting on purpose
+/// (IgnoreLossAccountingForTesting) and assert the audit DETECTS it: a
+/// test suite that cannot fail proves nothing.
 
 namespace spear {
 namespace {
@@ -200,7 +200,7 @@ TEST(AccuracyAuditTest, CountMinMeetsAdditiveEpsilonDeltaOverSeededRuns) {
     for (int i = 0; i < 3000; ++i) {
       // Skewed key popularity, the regime count-min is built for.
       const int k = static_cast<int>(std::pow(rng.NextDouble(), 2.0) * 50);
-      const std::string key = "k" + std::to_string(k);
+      const std::string key = std::string("k").append(std::to_string(k));
       sketch->Update(key);
       truth[key] += 1.0;
       l1 += 1.0;
@@ -281,6 +281,132 @@ TEST(AccuracyAuditTest, GuardBrokenLossAccountingIsDetected) {
   // coverage the honest audits require collapses.
   EXPECT_LT(tally.coverage(), CoverageBound(kAlpha, tally.expedited))
       << "audit failed to detect broken loss accounting";
+  EXPECT_LT(tally.coverage(), 0.5);
+}
+
+// ---- grouped windows, group count unknown (DEBS-like sparse routes) ------
+
+/// One window of a DEBS-like ride stream: ~1 K routes drawn from a pool of
+/// 1500, most seen once or twice, with a route-determined fare and ~15 %
+/// ride noise, plus four dense routes (a fifth of the rides) with a wide
+/// fare spread — the sparse regime of the paper's DEBS query, where
+/// congress allocation gives most routes one sampled ride.
+std::vector<std::pair<std::string, double>> SparseRoutesWindow(
+    std::uint64_t seed, int n) {
+  Rng rng(seed);
+  std::vector<std::pair<std::string, double>> rides;
+  rides.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    if (rng.NextDouble() < 0.2) {
+      const std::uint64_t d = rng.NextBounded(4);
+      rides.emplace_back(std::string("dense").append(std::to_string(d)),
+                         (40.0 + 10.0 * d) * (0.7 + 0.6 * rng.NextDouble()));
+    } else {
+      const std::uint64_t route = rng.NextBounded(1500);
+      SplitMix64 route_fare(route * 0x9E37u + seed);
+      const double unit =
+          static_cast<double>(route_fare.Next() >> 11) * 0x1.0p-53;
+      const double fare = 5.0 + 25.0 * unit;
+      rides.emplace_back(std::string("r").append(std::to_string(route)),
+                         fare * (1.0 + 0.15 * rng.NextGaussian()));
+    }
+  }
+  return rides;
+}
+
+/// Runs one grouped window per seed through a grouped-unknown manager
+/// (congress allocation, L1 norm) and scores every expedited window by its
+/// TRUE L1 error: the mean over all of the window's routes — shed rides
+/// included — of each route's relative error; a route missing from the
+/// result counts as 100 % wrong.
+void RunGroupedAudit(const AggregateSpec& spec, int shed_every,
+                     bool break_accounting, AuditTally* tally) {
+  const int n = 2000;
+  const std::size_t budget = 1500;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    const auto rides = SparseRoutesWindow(seed * 19 + 3, n);
+    SpearOperatorConfig config = AuditConfig(spec, budget, seed);
+    config.group_error_norm = GroupErrorNorm::kL1;
+    SpearWindowManager manager(config, NumericField(1), KeyField(0));
+    if (break_accounting) manager.IgnoreLossAccountingForTesting();
+    std::map<std::string, std::vector<double>> truth;
+    for (int i = 0; i < n; ++i) {
+      const std::int64_t coord = i % 1000;
+      const auto& [route, fare] = rides[i];
+      truth[route].push_back(fare);
+      if (shed_every > 0 && i % shed_every == 0) {
+        manager.OnTupleShed(coord);
+      } else {
+        manager.OnTuple(coord, Tuple(coord, {Value(route), Value(fare)}));
+      }
+    }
+    auto results = manager.OnWatermark(1000);
+    ASSERT_TRUE(results.ok()) << results.status().ToString();
+    ASSERT_EQ(results->size(), 1u);
+    const WindowResult& r = (*results)[0];
+    ++tally->windows;
+    if (!r.approximate || r.degraded) continue;
+    ++tally->expedited;
+    const std::map<std::string, double> estimates(r.groups.begin(),
+                                                  r.groups.end());
+    double l1 = 0.0;
+    for (const auto& [route, fares] : truth) {
+      const auto it = estimates.find(route);
+      const double exact = TrueAggregate(spec, fares);
+      l1 += it == estimates.end()
+                ? 1.0
+                : std::abs(it->second - exact) / std::abs(exact);
+    }
+    l1 /= static_cast<double>(truth.size());
+    if (l1 <= kEpsilon) ++tally->within_epsilon;
+  }
+}
+
+TEST(AccuracyAuditTest, GroupedSparseMeanMeetsEpsilonAlpha) {
+  AuditTally tally;
+  RunGroupedAudit(AggregateSpec::Mean(), /*shed_every=*/0,
+                  /*break_accounting=*/false, &tally);
+  ASSERT_GE(tally.expedited, static_cast<std::uint64_t>(kSeeds) / 2)
+      << "audit has no power: too few expedited grouped windows";
+  EXPECT_GE(tally.coverage(), CoverageBound(kAlpha, tally.expedited))
+      << tally.within_epsilon << "/" << tally.expedited << " within ε";
+}
+
+TEST(AccuracyAuditTest, GroupedSparseSumMeetsEpsilonAlpha) {
+  AuditTally tally;
+  RunGroupedAudit(AggregateSpec::Sum(), /*shed_every=*/0,
+                  /*break_accounting=*/false, &tally);
+  ASSERT_GE(tally.expedited, static_cast<std::uint64_t>(kSeeds) / 2);
+  EXPECT_GE(tally.coverage(), CoverageBound(kAlpha, tally.expedited))
+      << tally.within_epsilon << "/" << tally.expedited << " within ε";
+}
+
+TEST(AccuracyAuditTest, GroupedSparseUnderSheddingMeetsEpsilonAlpha) {
+  for (const AggregateSpec& spec :
+       {AggregateSpec::Sum(), AggregateSpec::Mean()}) {
+    AuditTally tally;
+    RunGroupedAudit(spec, /*shed_every=*/25, /*break_accounting=*/false,
+                    &tally);
+    ASSERT_GE(tally.expedited, static_cast<std::uint64_t>(kSeeds) / 2)
+        << spec.ToString() << ": shed inflation pushed every window out";
+    EXPECT_GE(tally.coverage(), CoverageBound(kAlpha, tally.expedited))
+        << spec.ToString() << ": " << tally.within_epsilon << "/"
+        << tally.expedited << " within ε";
+  }
+}
+
+// The grouped guard: shed rides belong to no tracked route, so a grouped
+// Sum stands for the admitted half only; with the loss accounting off,
+// ε̂_w no longer carries the shed ratio, the windows still expedite, and
+// the audit must see the true L1 error collapse the coverage.
+TEST(AccuracyAuditTest, GroupedGuardBrokenLossAccountingIsDetected) {
+  AuditTally tally;
+  RunGroupedAudit(AggregateSpec::Sum(), /*shed_every=*/2,
+                  /*break_accounting=*/true, &tally);
+  ASSERT_GE(tally.expedited, static_cast<std::uint64_t>(kSeeds) / 2)
+      << "guard lost its power: broken accounting no longer expedites";
+  EXPECT_LT(tally.coverage(), CoverageBound(kAlpha, tally.expedited))
+      << "audit failed to detect broken grouped loss accounting";
   EXPECT_LT(tally.coverage(), 0.5);
 }
 

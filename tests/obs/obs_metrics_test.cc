@@ -108,7 +108,8 @@ TEST(ObsMetricsTest, MergeInvariantHoldsAcrossShards) {
   for (int stage = 0; stage < 3; ++stage) {
     for (int task = 0; task < 4; ++task) {
       MetricsShard* shard =
-          registry.GetShard("s" + std::to_string(stage), task);
+          registry.GetShard(
+              std::string("s").append(std::to_string(stage)), task);
       for (const char* name : names) {
         const std::uint64_t n = stage * 100 + task * 10 + (name[0] - 'x');
         shard->GetCounter(name)->Add(n);

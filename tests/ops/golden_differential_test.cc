@@ -45,7 +45,8 @@ std::vector<Event> RandomStream(std::uint64_t seed, int n,
     Event e;
     e.coord = static_cast<std::int64_t>(rng.NextDouble() * horizon);
     e.value = rng.NextDouble() * 200.0 - 50.0;
-    e.key = "k" + std::to_string(static_cast<int>(rng.NextDouble() * num_keys));
+    e.key = std::string("k").append(
+        std::to_string(static_cast<int>(rng.NextDouble() * num_keys)));
     events.push_back(e);
   }
   // Deliver in coordinate order so no tuple is late for any operator.

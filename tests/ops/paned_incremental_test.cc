@@ -79,7 +79,7 @@ TEST_P(PanedEquivalence, MatchesPerWindowIncremental) {
   for (int i = 0; i < 20000; ++i) {
     const Timestamp t = static_cast<Timestamp>(rng.NextBounded(3000));
     const Tuple tuple =
-        KT(t, "g" + std::to_string(rng.NextBounded(4)),
+        KT(t, std::string("g").append(std::to_string(rng.NextBounded(4))),
            10.0 + rng.NextGaussian());
     // Feed in timestamp-sorted batches would be typical; both operators
     // accept any order ahead of the watermark, so feed as generated.

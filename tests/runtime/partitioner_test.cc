@@ -38,7 +38,8 @@ TEST(PartitionerTest, FieldsSpreadsKeys) {
   std::uint64_t rr = 0;
   std::set<int> seen;
   for (int i = 0; i < 200; ++i) {
-    seen.insert(p.TargetTask(KT("k" + std::to_string(i)), 8, &rr));
+    seen.insert(
+        p.TargetTask(KT(std::string("k").append(std::to_string(i))), 8, &rr));
   }
   EXPECT_EQ(seen.size(), 8u);  // all tasks hit with 200 keys
 }
@@ -55,8 +56,8 @@ TEST(PartitionerTest, TargetsAlwaysInRange) {
   std::uint64_t rr = 0;
   for (int parallelism : {2, 3, 5, 16}) {
     for (int i = 0; i < 100; ++i) {
-      const int t = p.TargetTask(KT("key" + std::to_string(i)), parallelism,
-                                 &rr);
+      const int t = p.TargetTask(
+          KT(std::string("key").append(std::to_string(i))), parallelism, &rr);
       EXPECT_GE(t, 0);
       EXPECT_LT(t, parallelism);
     }

@@ -28,7 +28,7 @@ TEST(TopKBoltTest, HeavyHitterAlwaysSurfaced) {
       key = "hot";
       ++hot_count;
     } else {
-      key = "cold" + std::to_string(rng.NextBounded(500));
+      key = std::string("cold").append(std::to_string(rng.NextBounded(500)));
     }
     ASSERT_TRUE(bolt.Execute(KT(i % 1000, key), &out).ok());
   }
@@ -48,7 +48,9 @@ TEST(TopKBoltTest, EmitsAtMostKItems) {
   CollectingEmitter out;
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(
-        bolt.Execute(KT(i, "k" + std::to_string(i % 20)), &out).ok());
+        bolt.Execute(KT(i, std::string("k").append(std::to_string(i % 20))),
+                     &out)
+            .ok());
   }
   ASSERT_TRUE(bolt.OnWatermark(100, &out).ok());
   EXPECT_EQ(out.tuples.size(), 3u);

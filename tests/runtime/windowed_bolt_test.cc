@@ -182,7 +182,8 @@ TEST(CountMinBoltTest, GroupedMeanApproximation) {
   CollectingEmitter out;
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(
-        bolt.Execute(KT(i % 100, "g" + std::to_string(i % 3), 10.0 * (i % 3)),
+        bolt.Execute(KT(i % 100, std::string("g").append(std::to_string(i % 3)),
+                        10.0 * (i % 3)),
                      &out)
             .ok());
   }

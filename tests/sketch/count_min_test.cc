@@ -31,7 +31,8 @@ TEST(CountMinTest, NeverUnderestimates) {
   Rng rng(4);
   std::unordered_map<std::string, double> truth;
   for (int i = 0; i < 20000; ++i) {
-    const std::string key = "k" + std::to_string(rng.NextBounded(500));
+    const std::string key =
+        std::string("k").append(std::to_string(rng.NextBounded(500)));
     sketch->Update(key, 1.0);
     truth[key] += 1.0;
   }
@@ -46,7 +47,8 @@ TEST(CountMinTest, ErrorWithinEpsilonOfL1Mass) {
   Rng rng(9);
   std::unordered_map<std::string, double> truth;
   for (int i = 0; i < 50000; ++i) {
-    const std::string key = "k" + std::to_string(rng.NextBounded(2000));
+    const std::string key =
+        std::string("k").append(std::to_string(rng.NextBounded(2000)));
     sketch->Update(key, 1.0);
     truth[key] += 1.0;
   }
@@ -63,7 +65,7 @@ TEST(CountMinTest, UnseenKeySmall) {
   auto sketch = CountMinSketch::Make(0.01, 0.01);
   ASSERT_TRUE(sketch.ok());
   for (int i = 0; i < 100; ++i) {
-    sketch->Update("seen" + std::to_string(i), 1.0);
+    sketch->Update(std::string("seen").append(std::to_string(i)), 1.0);
   }
   EXPECT_LE(sketch->Estimate("never-seen"), 0.01 * sketch->total_mass() * 4);
 }
@@ -127,7 +129,8 @@ TEST(CountMinGroupedTest, MemoryIncludesKeySet) {
   ASSERT_TRUE(agg.ok());
   const std::size_t before = agg->MemoryBytes();
   for (int i = 0; i < 1000; ++i) {
-    agg->Update("group-with-a-long-name-" + std::to_string(i), 1.0);
+    agg->Update(
+        std::string("group-with-a-long-name-").append(std::to_string(i)), 1.0);
   }
   EXPECT_GT(agg->MemoryBytes(), before + 1000 * 10);
 }

@@ -32,7 +32,8 @@ TEST(SpaceSavingTest, NeverUnderestimatesMonitored) {
   for (int i = 0; i < 20000; ++i) {
     // Zipf-ish mix over 50 keys.
     const std::string key =
-        "k" + std::to_string(rng.NextBounded(rng.NextBounded(50) + 1));
+        std::string("k").append(
+            std::to_string(rng.NextBounded(rng.NextBounded(50) + 1)));
     ss->Add(key);
     ++truth[key];
   }
@@ -52,7 +53,8 @@ TEST(SpaceSavingTest, HeavyHitterGuarantee) {
     if (rng.NextDouble() < 0.3) {
       ss->Add("hot");
     } else {
-      ss->Add("noise" + std::to_string(rng.NextBounded(1000)));
+      ss->Add(
+          std::string("noise").append(std::to_string(rng.NextBounded(1000))));
     }
   }
   EXPECT_GT(ss->EstimateCount("hot"), 10000u / kCapacity);
@@ -63,7 +65,7 @@ TEST(SpaceSavingTest, HeavyHitterGuarantee) {
 TEST(SpaceSavingTest, CapacityBoundsMonitoredSet) {
   auto ss = SpaceSaving::Make(4);
   for (int i = 0; i < 100; ++i) {
-    ss->Add("k" + std::to_string(i));
+    ss->Add(std::string("k").append(std::to_string(i)));
   }
   EXPECT_EQ(ss->monitored(), 4u);
   EXPECT_EQ(ss->total(), 100u);

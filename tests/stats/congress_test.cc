@@ -39,7 +39,9 @@ TEST(CongressTest, EqualGroupsSplitEqually) {
 
 TEST(CongressTest, EveryGroupGetsAtLeastOne) {
   Frequencies f;
-  for (int i = 0; i < 50; ++i) f["g" + std::to_string(i)] = 1 + i;
+  for (int i = 0; i < 50; ++i) {
+    f[std::string("g").append(std::to_string(i))] = 1 + i;
+  }
   auto allocs = CongressAllocate(f, 60);
   ASSERT_TRUE(allocs.ok());
   for (const auto& a : *allocs) EXPECT_GE(a.sample_size, 1u);
@@ -81,7 +83,8 @@ TEST(ProportionalTest, FollowsFrequencies) {
 TEST(CongressTest, TotalAllocationNearBudget) {
   Frequencies f;
   for (int i = 0; i < 20; ++i) {
-    f["g" + std::to_string(i)] = 100 * static_cast<std::uint64_t>(i + 1);
+    f[std::string("g").append(std::to_string(i))] =
+        100 * static_cast<std::uint64_t>(i + 1);
   }
   auto allocs = CongressAllocate(f, 1000);
   ASSERT_TRUE(allocs.ok());
@@ -102,7 +105,7 @@ TEST_P(CongressSweep, InvariantsHold) {
   Frequencies f;
   for (int i = 0; i < groups; ++i) {
     // Zipf-ish: group i has frequency ~ 10000 / (i+1).
-    f["g" + std::to_string(i)] =
+    f[std::string("g").append(std::to_string(i))] =
         std::max<std::uint64_t>(10000 / static_cast<std::uint64_t>(i + 1), 1);
   }
   auto allocs = CongressAllocate(f, budget);

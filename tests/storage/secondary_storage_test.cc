@@ -144,14 +144,14 @@ TEST(SecondaryStorageTest, ConcurrentStoresAllLand) {
   for (int w = 0; w < 4; ++w) {
     threads.emplace_back([&s, w] {
       for (int i = 0; i < 500; ++i) {
-        s.Store("k" + std::to_string(w), T(i, 0.0));
+        s.Store(std::string("k").append(std::to_string(w)), T(i, 0.0));
       }
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(s.TotalTuples(), 2000u);
   for (int w = 0; w < 4; ++w) {
-    EXPECT_EQ(s.CountFor("k" + std::to_string(w)), 500u);
+    EXPECT_EQ(s.CountFor(std::string("k").append(std::to_string(w))), 500u);
   }
 }
 

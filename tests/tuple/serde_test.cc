@@ -80,7 +80,8 @@ TEST(SerdeTest, BatchRoundTrip) {
     tuples.emplace_back(
         i, std::vector<Value>{Value(static_cast<std::int64_t>(i)),
                               Value(rng.NextDouble()),
-                              Value("k" + std::to_string(i % 7))});
+                              Value(std::string("k").append(
+                                  std::to_string(i % 7)))});
   }
   auto decoded = DecodeBatch(EncodeBatch(tuples));
   ASSERT_TRUE(decoded.ok());
