@@ -102,8 +102,6 @@ SpearWindowManager::SpearWindowManager(SpearOperatorConfig config,
       mode_(DeriveMode(config_, static_cast<bool>(key_extractor))),
       value_extractor_(std::move(value_extractor)),
       key_extractor_(std::move(key_extractor)),
-      storage_(storage),
-      spill_key_(std::move(spill_key)),
       budget_elements_(config_.budget.ElementsFor(sizeof(double))),
       // Per the paper, b holds floor(b / (r + 4 + f)) groups' metadata;
       // for tuple-denominated budgets the capacity is one group per slot.
@@ -111,10 +109,17 @@ SpearWindowManager::SpearWindowManager(SpearOperatorConfig config,
                       ? config_.budget.ElementsFor(8 + 4 + sizeof(double))
                       : budget_elements_),
       exact_operator_(config_.aggregate, value_extractor_, key_extractor_),
+      buffer_(config_.buffer_memory_capacity, storage, std::move(spill_key),
+              config_.storage_retry, config_.seed),
       last_watermark_(kMinTimestamp) {
   SPEAR_CHECK(config_.Validate().ok());
   SPEAR_CHECK(budget_elements_ > 0);
-  SPEAR_CHECK(config_.buffer_memory_capacity == 0 || storage_ != nullptr);
+  if (key_extractor_) buffer_.TrackKeys(&keys_, key_extractor_);
+  buffer_.SetRetryHook([this](std::uint64_t retries, std::uint64_t recovered) {
+    if (metrics_ == nullptr) return;
+    metrics_->AddRetries(retries);
+    metrics_->AddRecovered(recovered);
+  });
   if (config_.adaptive_budget) {
     BudgetController::Options options = config_.adaptive_options;
     options.initial_budget = budget_elements_;
@@ -238,21 +243,19 @@ void SpearWindowManager::NoteRecoveryLoss(std::uint64_t lost_tuples) {
   }
 }
 
-void SpearWindowManager::OnTupleShed(std::int64_t coord) {
+bool SpearWindowManager::Admit(std::int64_t coord) {
   if (coord < last_watermark_) {
-    // A late tuple that was shed: same anomaly accounting as OnTuple's
-    // late path — the tuple would not have joined any active window's
-    // budget state anyway.
     ++decision_stats_.late_tuples;
     if (obs_late_tuples_ != nullptr) obs_late_tuples_->Increment();
+    // Still-active windows that should have contained this tuple now hold
+    // incomplete state: flag the delivery anomaly (Sec. 4.1).
     for (auto& [start, state] : window_states_) {
       if (coord >= start && coord < start + config_.window.range) {
         state.anomalous = true;
       }
     }
-    return;
+    return false;
   }
-  ++decision_stats_.tuples_shed;
   if (!saw_any_tuple_) {
     next_window_start_ = FirstWindowStartFor(config_.window, coord);
     saw_any_tuple_ = true;
@@ -260,6 +263,12 @@ void SpearWindowManager::OnTupleShed(std::int64_t coord) {
     next_window_start_ = std::min(
         next_window_start_, FirstWindowStartFor(config_.window, coord));
   }
+  return true;
+}
+
+void SpearWindowManager::OnTupleShed(std::int64_t coord) {
+  if (!Admit(coord)) return;  // late: it would have joined no active window
+  ++decision_stats_.tuples_shed;
 
   // Account the drop against every window the tuple would have joined.
   // The budget state stays a uniform sample of the *admitted* subset; the
@@ -288,27 +297,9 @@ void SpearWindowManager::NoteStreamTruncation() {
 }
 
 void SpearWindowManager::OnTuple(std::int64_t coord, Tuple tuple) {
-  if (coord < last_watermark_) {
-    ++decision_stats_.late_tuples;
-    if (obs_late_tuples_ != nullptr) obs_late_tuples_->Increment();
-    // Still-active windows that should have contained this tuple now hold
-    // incomplete state: flag the delivery anomaly (Sec. 4.1).
-    for (auto& [start, state] : window_states_) {
-      if (coord >= start && coord < start + config_.window.range) {
-        state.anomalous = true;
-      }
-    }
-    return;
-  }
+  if (!Admit(coord)) return;
   ++decision_stats_.tuples_seen;
   if (obs_tuples_seen_ != nullptr) obs_tuples_seen_->Increment();
-  if (!saw_any_tuple_) {
-    next_window_start_ = FirstWindowStartFor(config_.window, coord);
-    saw_any_tuple_ = true;
-  } else {
-    next_window_start_ =
-        std::min(next_window_start_, FirstWindowStartFor(config_.window, coord));
-  }
 
   // Alg. 1: update the budget state of every window the tuple joins
   // (tumbling fast path avoids the per-tuple window-list allocation).
@@ -327,86 +318,14 @@ void SpearWindowManager::OnTuple(std::int64_t coord, Tuple tuple) {
   }
 
   // Raw tuple custody: memory within the worker budget, S beyond it.
-  if (config_.buffer_memory_capacity != 0 &&
-      buffer_.size() >= config_.buffer_memory_capacity) {
-    Tuple payload = std::move(tuple);
-    payload.AppendField(Value(payload.event_time()));
-    payload.set_event_time(coord);
-    const Status stored = StoreWithRetry(
-        spill_key_ + "/" + std::to_string(spill_seq_), payload);
-    if (stored.ok()) {
-      spilled_coords_.push_back(coord);
-      if (key_extractor_) keys_.Unref(key_id);  // re-interned on fetch
-      if (obs_spill_tuples_ != nullptr) obs_spill_tuples_->Increment();
-      return;
-    }
-    // S stayed unavailable after retries: keep the tuple in memory past
-    // the budget rather than lose it — degraded custody, not data loss.
-    ++spill_failures_;
+  const TupleBuffer::Custody custody =
+      buffer_.Append(coord, std::move(tuple), key_id);
+  if (custody == TupleBuffer::Custody::kSpilled) {
+    if (obs_spill_tuples_ != nullptr) obs_spill_tuples_->Increment();
+  } else if (custody == TupleBuffer::Custody::kSpillFailed) {
     if (metrics_ != nullptr) metrics_->AddSpillFailures(1);
     if (obs_spill_failures_ != nullptr) obs_spill_failures_->Increment();
-    payload.set_event_time(payload.PopField().AsInt64());
-    PushBuffered(coord, std::move(payload), key_id);
-    return;
   }
-  PushBuffered(coord, std::move(tuple), key_id);
-}
-
-void SpearWindowManager::PushBuffered(std::int64_t coord, Tuple tuple,
-                                      std::uint32_t key_id) {
-  buffer_.push_back(Entry{coord, std::move(tuple)});
-  if (key_extractor_) buffer_keys_.push_back(key_id);
-}
-
-Status SpearWindowManager::StoreWithRetry(const std::string& key,
-                                          const Tuple& payload) {
-  std::uint64_t retries = 0;
-  std::uint64_t recovered = 0;
-  const Status stored = RetryTransient(
-      config_.storage_retry, config_.seed ^ (spill_seq_ + 0x5702EULL),
-      [&] { return storage_->Store(key, payload); }, &retries, &recovered);
-  if (metrics_ != nullptr) {
-    metrics_->AddRetries(retries);
-    metrics_->AddRecovered(recovered);
-  }
-  return stored;
-}
-
-Status SpearWindowManager::UnspillAll() {
-  if (spilled_coords_.empty()) return Status::OK();
-  const std::string key = spill_key_ + "/" + std::to_string(spill_seq_);
-  Result<std::vector<Tuple>> fetched = storage_->Get(key);
-  {
-    // Retry transient Get failures under the same policy as spills
-    // (RetryTransient only fits Status-returning ops).
-    Backoff backoff(config_.storage_retry,
-                    config_.seed ^ (spill_seq_ + 0xD0D0ULL));
-    std::int64_t delay_ns = 0;
-    while (!fetched.ok() &&
-           ClassifyFailure(fetched.status()) == FailureClass::kTransient &&
-           backoff.NextDelay(&delay_ns)) {
-      BackoffSleep(delay_ns);
-      if (metrics_ != nullptr) metrics_->AddRetries(1);
-      fetched = storage_->Get(key);
-      if (fetched.ok() && metrics_ != nullptr) metrics_->AddRecovered(1);
-    }
-  }
-  if (!fetched.ok()) return fetched.status();
-  std::vector<Tuple> run = std::move(fetched).ValueOrDie();
-  for (auto& t : run) {
-    const std::int64_t coord = t.event_time();
-    t.set_event_time(t.PopField().AsInt64());
-    // The open windows that hold this key keep its id alive, so
-    // re-interning finds the id their trackers were built with.
-    const std::uint32_t key_id = key_extractor_
-                                     ? keys_.Intern(key_extractor_(t))
-                                     : KeyDictionary::kNoId;
-    PushBuffered(coord, std::move(t), key_id);
-  }
-  storage_->Erase(spill_key_ + "/" + std::to_string(spill_seq_));
-  ++spill_seq_;
-  spilled_coords_.clear();
-  return Status::OK();
 }
 
 Result<ScalarEstimate> SpearWindowManager::EstimateScalarForState(
@@ -435,23 +354,24 @@ Result<ScalarEstimate> SpearWindowManager::EstimateScalarForState(
 Status SpearWindowManager::PopulateGroupedResultFromScan(
     const WindowBounds& bounds, const GroupStatsTracker& tracker,
     const std::vector<std::uint64_t>& sample_sizes, WindowResult* result) {
-  // Build the stratified sample with one pass over the buffer — the scan
-  // the single-buffer design already owes for eviction. Each tuple's
-  // group slot comes from its stored key id (no key extraction, no string
-  // hash), and only kept tuples have their value extracted.
+  // Build the stratified sample in one read of the window's buffer chunks.
+  // Each tuple's group slot comes from its stored key id (no key
+  // extraction, no string hash), and only kept tuples have their value
+  // extracted.
   StratifiedSample sample(sample_sizes, config_.seed + sampler_seq_++);
-  auto key_it = buffer_keys_.begin();
-  for (const Entry& e : buffer_) {
-    const std::uint32_t key_id = *key_it++;
-    if (!bounds.Contains(e.coord)) continue;
+  Status scanned;
+  buffer_.ForEachIn(bounds, [&](const Tuple& tuple, std::uint32_t key_id) {
     const std::uint32_t slot = tracker.SlotOf(key_id);
     if (slot == GroupStatsTracker::kNoSlot) {
-      return Status::Internal("buffered tuple's group '" +
-                              keys_.KeyOf(key_id) +
-                              "' missing from its window's tracker");
+      scanned = Status::Internal("buffered tuple's group '" +
+                                 keys_.KeyOf(key_id) +
+                                 "' missing from its window's tracker");
+      return false;
     }
-    sample.Offer(slot, [&] { return value_extractor_(e.tuple); });
-  }
+    sample.Offer(slot, [&] { return value_extractor_(tuple); });
+    return true;
+  });
+  SPEAR_RETURN_NOT_OK(scanned);
 
   result->is_grouped = true;
   result->groups.reserve(tracker.num_groups());
@@ -516,15 +436,16 @@ Result<CompleteWindow> SpearWindowManager::MaterializeWindow(
   // check stays off the per-tuple critical path.
   constexpr std::size_t kDeadlineCheckStride = 256;
   std::size_t since_check = 0;
-  for (const Entry& e : buffer_) {
-    if (!bounds.Contains(e.coord)) continue;
+  const auto copy = [&](const Tuple& tuple, std::uint32_t) {
     if (deadline_ns != 0 && ++since_check == kDeadlineCheckStride) {
       since_check = 0;
-      if (NowNs() > deadline_ns) {
-        return Status::Cancelled("exact fallback exceeded its deadline");
-      }
+      if (NowNs() > deadline_ns) return false;
     }
-    window.tuples.push_back(e.tuple);
+    window.tuples.push_back(tuple);
+    return true;
+  };
+  if (!buffer_.ForEachIn(bounds, copy)) {
+    return Status::Cancelled("exact fallback exceeded its deadline");
   }
   return window;
 }
@@ -783,23 +704,20 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
       std::int64_t window_ns = 0;
       WindowResult result;
       const bool recovered_window = state_it->second.recovered;
-      // UnspillAll() clears spilled_coords_, so capture participation now.
-      const bool had_spill = !spilled_coords_.empty();
+      // Unspill() empties the run, so capture participation now.
+      const bool had_spill = buffer_.HasSpilled();
       {
         ScopedTimerNs timer(&window_ns);
-        // The grouped accept path scans the buffer; make sure spilled
+        // The grouped accept path reads the buffer; make sure spilled
         // tuples participate in the stratified sample. An unavailable S
         // here is survivable: the decision below falls back to the
         // tracker-only degraded path.
-        bool unspill_failed = false;
-        if (mode_ == SpearMode::kGroupedUnknown && !recovered_window &&
-            !spilled_coords_.empty()) {
-          const Status fetched = UnspillAll();
-          if (!fetched.ok()) {
-            if (!fetched.IsUnavailable()) return fetched;
-            unspill_failed = true;
-          }
+        Status unspilled = Status::OK();
+        if (mode_ == SpearMode::kGroupedUnknown && !recovered_window) {
+          unspilled = buffer_.Unspill();
+          if (!unspilled.ok() && !unspilled.IsUnavailable()) return unspilled;
         }
+        const bool unspill_failed = !unspilled.ok();
         // A window that can answer from its budget state even when the
         // decision demands exact. Holistic grouped-unknown windows cannot
         // (their degraded result needs the raw window).
@@ -852,8 +770,7 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
                     ? NowNs() + config_.exact_deadline_ms * 1'000'000
                     : 0;
             const Status fetched =
-                unspill_failed ? Status::Unavailable("spill run unavailable")
-                               : UnspillAll();
+                unspill_failed ? unspilled : buffer_.Unspill();
             if (fetched.ok()) {
               if (deadline_ns != 0 && NowNs() > deadline_ns) {
                 // The unspill alone blew the budget.
@@ -980,65 +897,21 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
                FirstIncompleteWindowStart(config_.window, watermark));
 
   // Eviction is the single-buffer design's bookkeeping, not part of
-  // producing any window's result; it stays outside the per-window
-  // processing time, matching the paper's Storm-metrics methodology.
-  // (When a grouped window is expedited, the stratified-sample build that
-  // the paper fuses with this scan IS charged to that window, inside
-  // DecideWindow.)
-  EvictExpired();
-  if (obs_buffered_tuples_ != nullptr) {
-    obs_buffered_tuples_->Set(static_cast<double>(BufferedTuples()));
-    obs_budget_bytes_->Set(static_cast<double>(BudgetMemoryBytes()));
-  }
-  return out;
-}
-
-void SpearWindowManager::EvictExpired() {
-  if (!key_extractor_) {
-    buffer_.erase(std::remove_if(buffer_.begin(), buffer_.end(),
-                                 [&](const Entry& e) {
-                                   return e.coord < next_window_start_;
-                                 }),
-                  buffer_.end());
-  } else {
-    // Same compaction, keeping the key-id side array aligned; an evicted
-    // tuple drops its id reference.
-    auto out = buffer_.begin();
-    auto key_out = buffer_keys_.begin();
-    auto key_it = buffer_keys_.begin();
-    for (auto it = buffer_.begin(); it != buffer_.end(); ++it, ++key_it) {
-      if (it->coord < next_window_start_) {
-        keys_.Unref(*key_it);
-        continue;
-      }
-      if (out != it) {
-        *out = std::move(*it);
-        *key_out = *key_it;
-      }
-      ++out;
-      ++key_out;
-    }
-    buffer_.erase(out, buffer_.end());
-    buffer_keys_.erase(key_out, buffer_keys_.end());
-  }
+  // producing any window's result, so it stays outside the per-window
+  // processing time (the paper's Storm-metrics methodology). An expired
+  // spill run is discarded unread: SPEAr never fetches S just to discard.
+  buffer_.EvictBelow(next_window_start_);
   // Drop window states that can no longer complete (safety: normally the
   // processing loop erased them).
   while (!window_states_.empty() &&
          window_states_.begin()->first < next_window_start_) {
     window_states_.erase(window_states_.begin());
   }
-  // Spilled run: discard wholesale once every coordinate expired; SPEAr
-  // never fetches data from S just to throw it away.
-  if (!spilled_coords_.empty()) {
-    const bool all_expired =
-        std::all_of(spilled_coords_.begin(), spilled_coords_.end(),
-                    [&](std::int64_t c) { return c < next_window_start_; });
-    if (all_expired) {
-      storage_->Erase(spill_key_ + "/" + std::to_string(spill_seq_));
-      ++spill_seq_;
-      spilled_coords_.clear();
-    }
+  if (obs_buffered_tuples_ != nullptr) {
+    obs_buffered_tuples_->Set(static_cast<double>(BufferedTuples()));
+    obs_budget_bytes_->Set(static_cast<double>(BudgetMemoryBytes()));
   }
+  return out;
 }
 
 Result<std::string> SpearWindowManager::SnapshotState() const {
@@ -1049,15 +922,16 @@ Result<std::string> SpearWindowManager::SnapshotState() const {
   wire::AppendI64(&out, next_window_start_);
   wire::AppendU8(&out, saw_any_tuple_ ? 1 : 0);
   wire::AppendU64(&out, sampler_seq_);
-  wire::AppendU64(&out, spill_seq_);
-  wire::AppendU64(&out, spill_failures_);
+  wire::AppendU64(&out, buffer_.spill_seq());
+  wire::AppendU64(&out, buffer_.spill_failures());
   wire::AppendU64(&out, pending_lost_);
 
   // Spill manifest: which coordinates live in S under the current run key.
   // Serialized for accounting only — restore discards the adopted run and
   // lets replay rebuild a fresh one, keeping S duplicate-free.
-  wire::AppendU64(&out, spilled_coords_.size());
-  for (const std::int64_t c : spilled_coords_) wire::AppendI64(&out, c);
+  const std::vector<std::int64_t>& manifest = buffer_.spilled_coords();
+  wire::AppendU64(&out, manifest.size());
+  for (const std::int64_t c : manifest) wire::AppendI64(&out, c);
 
   wire::AppendU64(&out, decision_stats_.windows_total);
   wire::AppendU64(&out, decision_stats_.windows_expedited);
@@ -1120,10 +994,7 @@ Status SpearWindowManager::RestoreState(const std::string& payload) {
 
   // From here on the manager is rebuilt wholesale; the raw buffer was not
   // serialized and starts empty (the executor replays what it logged).
-  for (const std::uint32_t id : buffer_keys_) keys_.Unref(id);
-  buffer_keys_.clear();
-  buffer_.clear();
-  spilled_coords_.clear();
+  buffer_.Clear();
   window_states_.clear();
 
   SPEAR_ASSIGN_OR_RETURN(last_watermark_, reader.ReadI64());
@@ -1131,26 +1002,18 @@ Status SpearWindowManager::RestoreState(const std::string& payload) {
   SPEAR_ASSIGN_OR_RETURN(const std::uint8_t saw, reader.ReadU8());
   saw_any_tuple_ = saw != 0;
   SPEAR_ASSIGN_OR_RETURN(sampler_seq_, reader.ReadU64());
-  SPEAR_ASSIGN_OR_RETURN(spill_seq_, reader.ReadU64());
-  SPEAR_ASSIGN_OR_RETURN(spill_failures_, reader.ReadU64());
+  SPEAR_ASSIGN_OR_RETURN(const std::uint64_t spill_seq, reader.ReadU64());
+  SPEAR_ASSIGN_OR_RETURN(const std::uint64_t spill_failures,
+                         reader.ReadU64());
   SPEAR_ASSIGN_OR_RETURN(pending_lost_, reader.ReadU64());
 
   SPEAR_ASSIGN_OR_RETURN(const std::uint64_t manifest_size, reader.ReadU64());
-  spilled_coords_.reserve(manifest_size);
   for (std::uint64_t k = 0; k < manifest_size; ++k) {
-    SPEAR_ASSIGN_OR_RETURN(const std::int64_t c, reader.ReadI64());
-    spilled_coords_.push_back(c);
+    SPEAR_RETURN_NOT_OK(reader.ReadI64().status());
   }
-  // The replay that follows re-feeds the tuples that filled the adopted
-  // run, and they will spill again. Appending them to the old run would
-  // double every spilled tuple, so discard it and start a fresh run —
-  // nothing is lost: every restored window is recovered, and recovered
-  // windows answer from budget state, never from the raw spill run.
-  if (storage_ != nullptr && !spilled_coords_.empty()) {
-    storage_->Erase(spill_key_ + "/" + std::to_string(spill_seq_));
-    ++spill_seq_;
-    spilled_coords_.clear();
-  }
+  // Replay re-spills the snapshot run's tuples, so the run is discarded
+  // (recovered windows answer from budget state, never from the raw run).
+  buffer_.ResumeFrom(spill_seq, spill_failures, manifest_size > 0);
 
   SPEAR_ASSIGN_OR_RETURN(decision_stats_.windows_total, reader.ReadU64());
   SPEAR_ASSIGN_OR_RETURN(decision_stats_.windows_expedited, reader.ReadU64());
@@ -1270,27 +1133,6 @@ Status SpearWindowManager::RestoreState(const std::string& payload) {
   if (!reader.exhausted()) {
     return Status::Invalid("spear snapshot: trailing bytes");
   }
-
-  // Re-adopt the spill manifest: the storage run may have grown past it
-  // (spills between the snapshot and the crash), and post-restore replays
-  // would re-spill those same tuples. Truncate the run back to the
-  // manifest (S preserves insertion order) so replayed spills append to a
-  // consistent prefix. If S is unavailable, drop the manifest instead —
-  // recovered windows never materialize raw tuples, so this only costs
-  // custody of already-lost data.
-  if (!spilled_coords_.empty()) {
-    bool adopted = false;
-    if (storage_ != nullptr) {
-      const std::string key = spill_key_ + "/" + std::to_string(spill_seq_);
-      Result<std::vector<Tuple>> run = storage_->Get(key);
-      if (run.ok() && run->size() >= spilled_coords_.size()) {
-        run->resize(spilled_coords_.size());
-        storage_->Erase(key);
-        if (storage_->StoreBatch(key, std::move(*run)).ok()) adopted = true;
-      }
-    }
-    if (!adopted) spilled_coords_.clear();
-  }
   return Status::OK();
 }
 
@@ -1305,12 +1147,6 @@ std::size_t SpearWindowManager::BudgetMemoryBytes() const {
       total += sampler.sample().size() * sizeof(double);
     }
   }
-  return total;
-}
-
-std::size_t SpearWindowManager::BufferMemoryBytes() const {
-  std::size_t total = 0;
-  for (const Entry& e : buffer_) total += e.tuple.ByteSize();
   return total;
 }
 

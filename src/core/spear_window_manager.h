@@ -1,6 +1,5 @@
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -19,6 +18,7 @@
 #include "stats/reservoir_sampler.h"
 #include "storage/secondary_storage.h"
 #include "tuple/field_extractor.h"
+#include "window/tuple_buffer.h"
 
 /// \file spear_window_manager.h
 /// SPEAr's extension of the single-buffer window manager — the paper's
@@ -33,15 +33,16 @@
 ///
 /// Watermark arrival (Alg. 2): for every complete window, an accuracy
 /// estimate ε̂_w and approximate result R̂_w are produced from b alone. If
-/// ε̂_w <= ε, R̂_w is emitted — O(b) work, no access to the raw window; the
-/// single eviction scan the buffer design already pays doubles as the
-/// stratified-sample construction scan for grouped operations. Otherwise
-/// the whole window is materialized (possibly from S) and processed
-/// exactly, matching a normal SPE's cost.
+/// ε̂_w <= ε, R̂_w is emitted — O(b) work, no access to the raw window,
+/// except that grouped operations with an unknown group count build their
+/// stratified sample in one read of the window's buffered tuples (the
+/// paper fuses it with Storm's eviction scan; TupleBuffer evicts whole
+/// chunks without one). Otherwise the whole window is materialized
+/// (possibly from S) and processed exactly, matching a normal SPE's cost.
 ///
 /// Grouped modes key everything by dense group ids: OnTuple extracts and
-/// interns the key once per tuple (KeyDictionary), the buffer keeps each
-/// tuple's id in a side array, and the per-window trackers, per-group
+/// interns the key once per tuple (KeyDictionary), the TupleBuffer keeps
+/// each tuple's id in a side array, and the per-window trackers, per-group
 /// reservoirs and the stratified-sample scan index flat arrays by id/slot.
 /// Key strings remain only at the edges: the exact fallback, result
 /// emission, the snapshot payload, and re-interning tuples fetched back
@@ -60,7 +61,7 @@ enum class SpearMode {
   /// Holistic scalar (percentile): sample-size budget test.
   kScalarQuantile,
   /// Grouped, group count unknown: frequencies/variances tracked in b;
-  /// stratified sample built during the eviction scan on accept.
+  /// stratified sample built in one read of the window's tuples on accept.
   kGroupedUnknown,
   /// Grouped, group count declared at submission: per-group reservoirs
   /// maintained at tuple arrival; no scan needed on accept.
@@ -129,10 +130,10 @@ class SpearWindowManager {
   /// window is flagged `recovered`: its raw buffer is incomplete, so the
   /// exact fallback and the grouped stratified scan are off the table —
   /// those windows answer from the budget state (possibly degraded).
-  /// Re-adopts the snapshot's spill manifest, truncating the storage run
-  /// back to the manifest so post-restore replays cannot duplicate
-  /// spilled tuples; an unavailable S drops the manifest instead (the
-  /// recovered windows never materialize raw tuples anyway).
+  /// The raw buffer restarts empty. When the snapshot recorded a spill
+  /// run, that run is erased from S and a fresh one starts, so the tuples
+  /// the executor replays spill once, not twice (recovered windows never
+  /// read the raw run, so nothing is lost).
   Status RestoreState(const std::string& payload);
 
   /// Accounts `lost_tuples` consumed-but-unreplayable tuples (they fell
@@ -165,19 +166,13 @@ class SpearWindowManager {
   /// in the ε̂_w arithmetic).
   void IgnoreLossAccountingForTesting() { ignore_loss_accounting_ = true; }
 
-  /// Spill attempts that stayed transiently failed after retries; the
-  /// affected tuples were kept in memory past the budget instead.
-  std::uint64_t spill_failures() const { return spill_failures_; }
-
   /// Test hook: wipes the budget state (samplers/trackers) of every
   /// active window, simulating corruption. Subsequent decisions detect it
   /// and fall back to exact processing.
   void CorruptBudgetForTesting();
 
   /// Tuples currently buffered (memory + spill).
-  std::size_t BufferedTuples() const {
-    return buffer_.size() + spilled_coords_.size();
-  }
+  std::size_t BufferedTuples() const { return buffer_.size(); }
 
   /// Group-key ids held by in-memory buffered tuples and open windows'
   /// group slots (grouped modes; empty for scalar modes).
@@ -188,7 +183,7 @@ class SpearWindowManager {
   std::size_t BudgetMemoryBytes() const;
 
   /// Bytes of raw buffered tuples resident in memory.
-  std::size_t BufferMemoryBytes() const;
+  std::size_t BufferMemoryBytes() const { return buffer_.MemoryBytes(); }
 
   /// The per-window sample capacity derived from the budget (the value
   /// new windows open with right now, when adaptive).
@@ -200,11 +195,6 @@ class SpearWindowManager {
   }
 
  private:
-  struct Entry {
-    std::int64_t coord;
-    Tuple tuple;
-  };
-
   /// Budget state of one active window.
   struct WindowState {
     /// Sample budget this window was opened with (fixed-budget managers
@@ -241,6 +231,11 @@ class SpearWindowManager {
 
   static SpearMode DeriveMode(const SpearOperatorConfig& config,
                               bool is_grouped);
+
+  /// Admission shared by OnTuple and OnTupleShed: false for a late coord
+  /// (counted; flags the active windows that should have held it as
+  /// anomalous, Sec. 4.1), else notes the earliest window it opens.
+  bool Admit(std::int64_t coord);
 
   WindowState& StateFor(std::int64_t window_start);
   /// Alg. 1 budget update of one window; `key_id` is the tuple's group id
@@ -294,22 +289,10 @@ class SpearWindowManager {
   Result<WindowResult> MakeDegradedResult(const WindowBounds& bounds,
                                           WindowState* state);
 
-  /// storage_->Store under config_.storage_retry, reporting retry counts
-  /// to the worker metrics.
-  Status StoreWithRetry(const std::string& key, const Tuple& payload);
-
-  Status UnspillAll();
-  void EvictExpired();
-  /// Appends one tuple to the in-memory buffer; grouped modes hand over
-  /// one reference on its key id.
-  void PushBuffered(std::int64_t coord, Tuple tuple, std::uint32_t key_id);
-
   const SpearOperatorConfig config_;
   const SpearMode mode_;
   const ValueExtractor value_extractor_;
   const KeyExtractor key_extractor_;
-  SecondaryStorage* storage_;
-  const std::string spill_key_;
 
   const std::size_t budget_elements_;
   const std::size_t max_groups_;
@@ -320,13 +303,8 @@ class SpearWindowManager {
   /// outlives them.
   KeyDictionary keys_;
 
-  std::deque<Entry> buffer_;
-  /// Key id of each in-memory buffered tuple, aligned with `buffer_`
-  /// (grouped modes only: scalar entries stay narrow). Each holds one
-  /// reference; spilled tuples hold none and are re-interned on fetch.
-  std::vector<std::uint32_t> buffer_keys_;
-  std::vector<std::int64_t> spilled_coords_;
-  std::uint64_t spill_seq_ = 0;
+  /// Raw tuples; in grouped modes each in-memory one holds a key-id ref.
+  TupleBuffer buffer_;
 
   std::map<std::int64_t, WindowState> window_states_;
   std::int64_t next_window_start_ = 0;
@@ -338,7 +316,6 @@ class SpearWindowManager {
   std::uint64_t pending_lost_ = 0;
 
   WorkerMetrics* metrics_ = nullptr;
-  std::uint64_t spill_failures_ = 0;
   bool ignore_loss_accounting_ = false;
 
   // Observability (all null when the topology runs unobserved).

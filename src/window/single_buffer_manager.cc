@@ -10,13 +10,10 @@ SingleBufferWindowManager::SingleBufferWindowManager(
     WindowSpec spec, std::size_t memory_capacity, SecondaryStorage* storage,
     std::string spill_key)
     : spec_(spec),
-      memory_capacity_(memory_capacity),
-      storage_(storage),
-      spill_key_(std::move(spill_key)),
+      buffer_(memory_capacity, storage, std::move(spill_key)),
       next_window_start_(0),
       last_watermark_(kMinTimestamp) {
   SPEAR_CHECK(spec_.IsValid());
-  SPEAR_CHECK(memory_capacity_ == 0 || storage_ != nullptr);
 }
 
 void SingleBufferWindowManager::OnTuple(std::int64_t coord, Tuple tuple) {
@@ -33,39 +30,7 @@ void SingleBufferWindowManager::OnTuple(std::int64_t coord, Tuple tuple) {
     next_window_start_ =
         std::min(next_window_start_, FirstWindowStartFor(spec_, coord));
   }
-  if (memory_capacity_ != 0 && buffer_.size() >= memory_capacity_) {
-    // Budget exhausted: spill the tuple payload to S. The 8-byte coordinate
-    // stays in memory as metadata so the spilled run can be re-associated.
-    // When the spill itself fails (storage transiently unavailable), keep
-    // the tuple in memory past the budget rather than lose data.
-    Tuple payload = std::move(tuple);
-    payload.set_event_time(coord);
-    const Status stored = storage_->Store(
-        spill_key_ + "/" + std::to_string(spill_seq_), payload);
-    if (!stored.ok()) {
-      ++spill_failures_;
-      buffer_.push_back(Entry{coord, std::move(payload)});
-      return;
-    }
-    ++spilled_;
-    return;
-  }
-  buffer_.push_back(Entry{coord, std::move(tuple)});
-}
-
-Status SingleBufferWindowManager::UnspillForProcessing() {
-  if (spilled_ == 0) return Status::OK();
-  SPEAR_ASSIGN_OR_RETURN(
-      std::vector<Tuple> run,
-      storage_->Get(spill_key_ + "/" + std::to_string(spill_seq_)));
-  for (auto& t : run) {
-    const std::int64_t coord = t.event_time();
-    buffer_.push_back(Entry{coord, std::move(t)});
-  }
-  storage_->Erase(spill_key_ + "/" + std::to_string(spill_seq_));
-  ++spill_seq_;
-  spilled_ = 0;
-  return Status::OK();
+  buffer_.Append(coord, std::move(tuple));
 }
 
 Result<std::vector<CompleteWindow>> SingleBufferWindowManager::OnWatermark(
@@ -78,65 +43,44 @@ Result<std::vector<CompleteWindow>> SingleBufferWindowManager::OnWatermark(
   last_watermark_ = watermark;
   if (!saw_any_tuple_) return out;
   // Nothing can complete: O(1) exit (count-based callers invoke this per
-  // tuple, so the scan below must not run on every call).
+  // tuple, so the reads below must not run on every call).
   if (next_window_start_ + spec_.range > watermark) return out;
 
-  SPEAR_RETURN_NOT_OK(UnspillForProcessing());
+  // Windows are staged from memory: fetch the spill run back first.
+  SPEAR_RETURN_NOT_OK(buffer_.Unspill());
 
   // A complete window that holds no buffered tuple can never gain one
   // (future tuples are >= the watermark), so complete-but-empty stretches
-  // are skipped wholesale instead of iterated slide by slide.
-  const std::int64_t first_incomplete =
-      FirstIncompleteWindowStart(spec_, watermark);
-  auto skip_empty_stretch = [&] {
-    std::int64_t min_relevant = kMaxTimestamp;
-    for (const Entry& e : buffer_) {
-      if (e.coord >= next_window_start_ && e.coord < min_relevant) {
-        min_relevant = e.coord;
-      }
-    }
-    const std::int64_t target =
-        min_relevant == kMaxTimestamp
-            ? first_incomplete
-            : std::min(FirstWindowStartFor(spec_, min_relevant),
-                       first_incomplete);
-    next_window_start_ = std::max(next_window_start_, target);
+  // are skipped wholesale instead of iterated slide by slide. Tuples below
+  // the next window are evicted first (no later window needs them), so
+  // the buffer's smallest coord is the next one that matters; with none
+  // left, the skip stops at the first incomplete window.
+  auto evict_and_skip_empty_stretch = [&] {
+    evicted_tuples_ += buffer_.EvictBelow(next_window_start_);
+    next_window_start_ = std::max(
+        next_window_start_,
+        FirstWindowStartFor(spec_, std::min(buffer_.MinCoord(), watermark)));
   };
 
-  skip_empty_stretch();
-  // Stage every complete window, scanning the single buffer per window
-  // (the design's documented cost).
+  evict_and_skip_empty_stretch();
+  // Stage every complete window, reading the buffer chunks it overlaps.
   while (next_window_start_ + spec_.range <= watermark) {
-    const WindowBounds bounds{next_window_start_,
-                              next_window_start_ + spec_.range};
     CompleteWindow window;
-    window.bounds = bounds;
-    for (const Entry& e : buffer_) {
-      if (bounds.Contains(e.coord)) window.tuples.push_back(e.tuple);
-    }
+    window.bounds = WindowBounds{next_window_start_,
+                                 next_window_start_ + spec_.range};
+    buffer_.ForEachIn(window.bounds, [&](const Tuple& t, std::uint32_t) {
+      window.tuples.push_back(t);
+      return true;
+    });
     next_window_start_ += spec_.slide;
     if (window.tuples.empty()) {
-      skip_empty_stretch();  // jump the gap instead of walking it
+      evict_and_skip_empty_stretch();  // jump the gap instead of walking it
     } else {
       out.push_back(std::move(window));
     }
   }
-
-  // Evict: anything below the next window's start can never be needed.
-  const std::size_t before = buffer_.size();
-  buffer_.erase(std::remove_if(buffer_.begin(), buffer_.end(),
-                               [&](const Entry& e) {
-                                 return e.coord < next_window_start_;
-                               }),
-                buffer_.end());
-  evicted_tuples_ += before - buffer_.size();
+  evicted_tuples_ += buffer_.EvictBelow(next_window_start_);
   return out;
-}
-
-std::size_t SingleBufferWindowManager::MemoryBytes() const {
-  std::size_t total = 0;
-  for (const Entry& e : buffer_) total += e.tuple.ByteSize();
-  return total;
 }
 
 }  // namespace spear

@@ -1,17 +1,17 @@
 #pragma once
 
-#include <deque>
 #include <string>
 
 #include "storage/secondary_storage.h"
+#include "window/tuple_buffer.h"
 #include "window/window_manager.h"
 
 /// \file single_buffer_manager.h
 /// Storm's buffering design (paper Sec. 2, Fig. 3 left): every tuple is
 /// stored exactly once in an arrival-ordered buffer. At watermark arrival
-/// the worker scans the buffer to (i) collect each complete window's tuples
+/// the worker reads the buffer to (i) collect each complete window's tuples
 /// and (ii) evict tuples that no future window can need. Memory per tuple
-/// is minimal; the cost is the per-watermark scan.
+/// is minimal; the cost is the per-watermark read of each window's chunks.
 
 namespace spear {
 
@@ -32,11 +32,9 @@ class SingleBufferWindowManager : public WindowManager {
   Result<std::vector<CompleteWindow>> OnWatermark(
       std::int64_t watermark) override;
 
-  std::size_t BufferedTuples() const override {
-    return buffer_.size() + spilled_;
-  }
+  std::size_t BufferedTuples() const override { return buffer_.size(); }
 
-  std::size_t MemoryBytes() const override;
+  std::size_t MemoryBytes() const override { return buffer_.MemoryBytes(); }
 
   std::uint64_t late_tuples() const override { return late_tuples_; }
 
@@ -44,32 +42,14 @@ class SingleBufferWindowManager : public WindowManager {
   std::uint64_t evicted_tuples() const { return evicted_tuples_; }
 
   /// Whether any tuple of the current buffer lives in S.
-  bool HasSpilled() const { return spilled_ > 0; }
-
-  /// Spill attempts kept in memory because storage was unavailable.
-  std::uint64_t spill_failures() const { return spill_failures_; }
+  bool HasSpilled() const { return buffer_.HasSpilled(); }
 
   const WindowSpec& spec() const { return spec_; }
 
  private:
-  struct Entry {
-    std::int64_t coord;
-    Tuple tuple;
-  };
-
-  /// Fetches the spilled run back into memory (paying S latency) so a
-  /// watermark can process it; called at watermark arrival only.
-  Status UnspillForProcessing();
-
   const WindowSpec spec_;
-  const std::size_t memory_capacity_;
-  SecondaryStorage* storage_;
-  const std::string spill_key_;
-
-  std::deque<Entry> buffer_;
-  std::size_t spilled_ = 0;
-  std::uint64_t spill_seq_ = 0;
-  std::uint64_t spill_failures_ = 0;
+  /// Spills are not retried: a failed one keeps the tuple in memory.
+  TupleBuffer buffer_;
 
   /// End of the last window already emitted; windows are emitted in
   /// ascending order and never twice.

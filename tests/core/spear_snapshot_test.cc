@@ -208,8 +208,9 @@ TEST(SpearSnapshotTest, RestoreRejectsGarbageAndWrongMode) {
   EXPECT_FALSE(manager.RestoreState(*grouped_payload).ok());
 }
 
-// Restore re-adopts the spill manifest: pre-crash spilled runs are not
-// duplicated when replayed tuples spill again under the same key.
+// Restore discards the snapshot's spill run and starts a fresh one, so
+// the replayed tuples that spill again are stored once, not on top of the
+// pre-crash run: S ends up holding as many tuples as before the crash.
 TEST(SpearSnapshotTest, RestoreReadoptsSpillManifestWithoutDuplication) {
   SecondaryStorage storage;
   SpearOperatorConfig config = MeanConfig();
@@ -228,8 +229,8 @@ TEST(SpearSnapshotTest, RestoreReadoptsSpillManifestWithoutDuplication) {
   SpearWindowManager restored(config, NumericField(0), nullptr, &storage,
                               "snap-test");
   ASSERT_TRUE(restored.RestoreState(*payload).ok());
-  // Replay the same tuples: the ones that spill again must overwrite the
-  // adopted manifest run, not append to it.
+  // Replay the same tuples: the ones that spill again go to the fresh
+  // run, not on top of the discarded one.
   for (int i = 0; i < 64; ++i) restored.OnTuple(i, NumTuple(i, i));
   EXPECT_EQ(storage.TotalTuples(), spilled_before);
 

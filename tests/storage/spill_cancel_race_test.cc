@@ -8,7 +8,7 @@
 
 #include "common/fault.h"
 #include "storage/secondary_storage.h"
-#include "storage/spilling_buffer.h"
+#include "window/tuple_buffer.h"
 
 namespace spear {
 namespace {
@@ -30,16 +30,16 @@ TEST(SpillCancelRaceTest, PermanentSpillFailureKeepsEverythingInMemory) {
 
   SecondaryStorage storage;
   storage.InjectFaults(&injector);
-  SpillingBuffer buffer(/*memory_capacity=*/8, &storage, "down-key");
+  TupleBuffer buffer(/*memory_capacity=*/8, &storage, "down-key");
 
   const int n = 100;
-  for (int i = 0; i < n; ++i) buffer.Append(NumTuple(i, i));
+  for (int i = 0; i < n; ++i) buffer.Append(i, NumTuple(i, i));
 
   EXPECT_EQ(buffer.size(), static_cast<std::size_t>(n));
   EXPECT_EQ(buffer.memory_size(), static_cast<std::size_t>(n));
   EXPECT_EQ(buffer.spilled_size(), 0u);
   EXPECT_EQ(buffer.spill_failures(), static_cast<std::size_t>(n - 8));
-  EXPECT_EQ(storage.CountFor("down-key"), 0u);  // no partial stores
+  EXPECT_EQ(storage.TotalTuples(), 0u);  // no partial stores
 }
 
 // The satellite scenario: spills fail intermittently while another thread
@@ -60,7 +60,7 @@ TEST(SpillCancelRaceTest, IntermittentFailureUnderConcurrentCancel) {
   // against (the busy-wait checks the flag continuously).
   SecondaryStorage storage(StorageLatencyModel{2'000, 50});
   storage.InjectFaults(&injector);
-  SpillingBuffer buffer(/*memory_capacity=*/16, &storage, "race-key");
+  TupleBuffer buffer(/*memory_capacity=*/16, &storage, "race-key");
 
   std::atomic<bool> done{false};
   std::thread canceller([&storage, &done]() {
@@ -75,7 +75,7 @@ TEST(SpillCancelRaceTest, IntermittentFailureUnderConcurrentCancel) {
   const int n = 3000;
   double expected_sum = 0.0;
   for (int i = 0; i < n; ++i) {
-    buffer.Append(NumTuple(i, i));
+    buffer.Append(i, NumTuple(i, i));
     expected_sum += i;
   }
   done.store(true);
@@ -87,21 +87,26 @@ TEST(SpillCancelRaceTest, IntermittentFailureUnderConcurrentCancel) {
             static_cast<std::size_t>(n));
   EXPECT_GT(buffer.spilled_size(), 0u);
   EXPECT_GT(buffer.spill_failures(), 0u);
-  EXPECT_EQ(storage.CountFor("race-key"), buffer.spilled_size());
+  EXPECT_EQ(storage.CountFor("race-key/0"), buffer.spilled_size());
 
-  // Materializing returns each appended tuple exactly once (a duplicate
-  // or a loss shifts the checksum).
+  // Reading the buffer back returns each appended tuple exactly once (a
+  // duplicate or a loss shifts the checksum).
   storage.ResetSimulatedLatency();
-  auto all = buffer.Materialize();
-  ASSERT_TRUE(all.ok()) << all.status().ToString();
-  ASSERT_EQ(all->size(), static_cast<std::size_t>(n));
+  ASSERT_TRUE(buffer.Unspill().ok());
+  std::size_t count = 0;
   double sum = 0.0;
-  for (const Tuple& t : *all) sum += t.field(0).AsDouble();
+  buffer.ForEachIn(WindowBounds{0, n}, [&](const Tuple& t, std::uint32_t) {
+    ++count;
+    sum += t.field(0).AsDouble();
+    return true;
+  });
+  ASSERT_EQ(count, static_cast<std::size_t>(n));
   EXPECT_DOUBLE_EQ(sum, expected_sum);
+  EXPECT_EQ(storage.CountFor("race-key/0"), 0u);  // erased once fetched
 
-  // No leak: clearing the buffer erases its storage run too.
+  // No leak: clearing the buffer drops it, and no run is left behind.
   buffer.Clear();
-  EXPECT_EQ(storage.CountFor("race-key"), 0u);
+  EXPECT_EQ(storage.TotalTuples(), 0u);
   EXPECT_EQ(buffer.size(), 0u);
 }
 

@@ -153,6 +153,27 @@ TEST(SingleBufferTest, SpilledTuplesSurviveRoundTripIntact) {
   EXPECT_DOUBLE_EQ(sum, 1.5 * (0 + 1 + 2 + 3 + 4 + 5));
 }
 
+// Count windows: the coord is the sequence number, not the event time. A
+// tuple that went through S must come back with its own event time, like
+// the ones that stayed in memory.
+TEST(SingleBufferTest, SpilledTuplesKeepTheirEventTime) {
+  SecondaryStorage storage;
+  SingleBufferWindowManager mgr(WindowSpec::TumblingCount(5), 2, &storage,
+                                "t");
+  for (int seq = 0; seq < 10; ++seq) mgr.OnTuple(seq, T(1000 + seq, seq));
+  EXPECT_TRUE(mgr.HasSpilled());
+  auto windows = mgr.OnWatermark(10);
+  ASSERT_TRUE(windows.ok());
+  ASSERT_EQ(windows->size(), 2u);
+  for (const CompleteWindow& w : *windows) {
+    ASSERT_EQ(w.tuples.size(), 5u);
+    for (const Tuple& t : w.tuples) {
+      const auto seq = static_cast<Timestamp>(t.field(0).AsDouble());
+      EXPECT_EQ(t.event_time(), 1000 + seq) << "tuple " << seq;
+    }
+  }
+}
+
 TEST(SingleBufferTest, MemoryBytesTracksBuffer) {
   SingleBufferWindowManager mgr(WindowSpec::TumblingTime(10));
   EXPECT_EQ(mgr.MemoryBytes(), 0u);
