@@ -43,6 +43,8 @@ struct CheckpointSnapshot {
 
 /// \brief CRC-32 (IEEE 802.3, reflected) over `data`.
 std::uint32_t Crc32(const std::string& data);
+/// \brief CRC-32 over the `size` bytes at `data`.
+std::uint32_t Crc32(const char* data, std::size_t size);
 
 /// Byte-encodes the snapshot: magic, envelope fields, payload, CRC32
 /// trailer over everything preceding it.

@@ -27,6 +27,15 @@
 namespace spear {
 
 /// \brief Snapshot/restore hooks of a stateful worker.
+///
+/// Delivery contract, which recovery relies on instead of keying results:
+/// the bolt's windows close as a function of the watermark alone, and one
+/// OnWatermark call emits the results of every window it closes all or
+/// nothing (a call that fails has emitted none of them). A restored
+/// instance that is re-fed the replay log and re-run to the last watermark
+/// whose OnWatermark succeeded then re-emits exactly the windows already
+/// delivered before the crash; the executor discards that output, and
+/// whatever a replayed Execute emits.
 class Checkpointable {
  public:
   virtual ~Checkpointable() = default;

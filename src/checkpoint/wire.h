@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -21,16 +22,17 @@ inline void AppendU8(std::string* out, std::uint8_t v) {
   out->push_back(static_cast<char>(v));
 }
 
+// Fixed-width fields are written little-endian, one append per field.
 inline void AppendU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+  char bytes[4];
+  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
+  out->append(bytes, sizeof(bytes));
 }
 
 inline void AppendU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+  char bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
+  out->append(bytes, sizeof(bytes));
 }
 
 inline void AppendI64(std::string* out, std::int64_t v) {
@@ -53,9 +55,13 @@ inline void AppendString(std::string* out, const std::string& s) {
 /// a truncated or corrupted payload fails decoding instead of crashing.
 class Reader {
  public:
-  explicit Reader(const std::string& data) : data_(data) {}
+  explicit Reader(const std::string& data) : Reader(data, data.size()) {}
+  /// Reads only the first `size` bytes of `data` (at most all of them).
+  Reader(const std::string& data, std::size_t size)
+      : data_(data.data()), size_(std::min(size, data.size())) {}
   // The reader aliases the caller's buffer; a temporary would dangle.
   explicit Reader(std::string&&) = delete;
+  Reader(std::string&&, std::size_t) = delete;
 
   Result<std::uint8_t> ReadU8() {
     SPEAR_ASSIGN_OR_RETURN(const char* p, Take(1));
@@ -101,23 +107,24 @@ class Reader {
   }
 
   std::size_t position() const { return pos_; }
-  std::size_t remaining() const { return data_.size() - pos_; }
-  bool exhausted() const { return pos_ == data_.size(); }
+  std::size_t remaining() const { return size_ - pos_; }
+  bool exhausted() const { return pos_ == size_; }
 
  private:
   Result<const char*> Take(std::size_t n) {
-    if (data_.size() - pos_ < n) {
+    if (size_ - pos_ < n) {
       return Status::OutOfRange("wire: truncated payload (need " +
                                 std::to_string(n) + " bytes at offset " +
                                 std::to_string(pos_) + " of " +
-                                std::to_string(data_.size()) + ")");
+                                std::to_string(size_) + ")");
     }
-    const char* p = data_.data() + pos_;
+    const char* p = data_ + pos_;
     pos_ += n;
     return p;
   }
 
-  const std::string& data_;
+  const char* data_;
+  std::size_t size_;
   std::size_t pos_ = 0;
 };
 

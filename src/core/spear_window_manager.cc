@@ -916,6 +916,7 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
 
 Result<std::string> SpearWindowManager::SnapshotState() const {
   std::string out;
+  out.reserve(last_snapshot_bytes_);
   wire::AppendU8(&out, kManagerPayloadVersion);
   wire::AppendU8(&out, static_cast<std::uint8_t>(mode_));
   wire::AppendI64(&out, last_watermark_);
@@ -975,6 +976,7 @@ Result<std::string> SpearWindowManager::SnapshotState() const {
       AppendReservoir(&out, state.group_samples[slot]);
     }
   }
+  last_snapshot_bytes_ = out.size();
   return out;
 }
 

@@ -314,6 +314,8 @@ class SpearWindowManager {
   /// Recovery loss reported while no window was active; charged to the
   /// next window that opens (see NoteRecoveryLoss).
   std::uint64_t pending_lost_ = 0;
+  /// Size of the last snapshot payload: the next one reserves it up front.
+  mutable std::size_t last_snapshot_bytes_ = 0;
 
   WorkerMetrics* metrics_ = nullptr;
   bool ignore_loss_accounting_ = false;

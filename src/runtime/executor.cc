@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <exception>
 #include <iterator>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "checkpoint/checkpoint.h"
@@ -16,6 +14,7 @@
 #include "common/retry_policy.h"
 #include "common/time.h"
 #include "runtime/overload.h"
+#include "runtime/replay_log.h"
 #include "storage/secondary_storage.h"
 #include "window/watermark.h"
 
@@ -80,51 +79,11 @@ Status GuardedBoltCall(StatusCode code, const char* what, Fn&& fn) {
   }
 }
 
-/// Window-result deduplication around a crash/restore cycle.
-///
-/// Wraps a checkpointable worker's emitter and keys every emitted window
-/// result by (window start, window end[, group key]) — the leading fields
-/// of the WindowResultToTuples layout. Keys are recorded always; emissions
-/// are *suppressed* only while armed, i.e. during recovery catch-up, when
-/// the restored manager re-closes windows that were already delivered
-/// before the crash. The seen set is cleared after every successful
-/// snapshot: windows emitted before a snapshot are no longer part of any
-/// restorable state, so they can never re-emit.
-class WindowDedupEmitter : public Emitter {
+/// Swallows what a recovering worker re-emits for windows that were
+/// already delivered before its crash.
+class DiscardEmitter : public Emitter {
  public:
-  explicit WindowDedupEmitter(Emitter* inner) : inner_(inner) {}
-
-  void Emit(Tuple tuple) override {
-    std::string key;
-    if (ResultKey(tuple, &key)) {
-      const bool fresh = seen_.insert(std::move(key)).second;
-      if (!fresh && armed_) return;  // already delivered before the crash
-    }
-    inner_->Emit(std::move(tuple));
-  }
-
-  void Arm() { armed_ = true; }
-  void Disarm() { armed_ = false; }
-  void ClearSeen() { seen_.clear(); }
-
- private:
-  static bool ResultKey(const Tuple& tuple, std::string* key) {
-    if (tuple.num_fields() < 2 || !tuple.field(0).is_int64() ||
-        !tuple.field(1).is_int64()) {
-      return false;
-    }
-    *key = std::to_string(tuple.field(0).AsInt64()) + "|" +
-           std::to_string(tuple.field(1).AsInt64());
-    if (tuple.num_fields() > 2 && tuple.field(2).is_string()) {
-      // Grouped layout: one result tuple per (window, group).
-      *key += "|" + tuple.field(2).AsString();
-    }
-    return true;
-  }
-
-  Emitter* inner_;
-  bool armed_ = false;
-  std::unordered_set<std::string> seen_;
+  void Emit(Tuple) override {}
 };
 
 }  // namespace
@@ -447,15 +406,14 @@ Result<RunReport> Executor::Run() {
             static_cast<std::uint64_t>(task) ^ 0x5EA45EA4ULL;
 
         // --- Checkpoint/recovery state (inert when checkpointing is off:
-        // cp stays null, no logging, no snapshots, no dedup hashing) ----
+        // cp stays null, no logging, no snapshots) ---------------------
         Checkpointable* cp = ckpt.enabled ? bolt->checkpointable() : nullptr;
         const bool log_replay = cp != nullptr;
-        WindowDedupEmitter dedup(&emitter);
-        Emitter* const bolt_out =
-            log_replay ? static_cast<Emitter*>(&dedup) : &emitter;
-        std::deque<Tuple> replay_log;
-        std::uint64_t consumed_since_snapshot = 0;
+        ReplayLog<Element> replay_log(ckpt.max_replay_tuples);
         Timestamp last_snapshot_wm = kMinTimestamp;
+        // The last watermark whose OnWatermark returned OK: every window
+        // it closed has been delivered.
+        Timestamp delivered_wm = kMinTimestamp;
         std::uint64_t snapshot_seq = 0;
         int restarts = 0;
 
@@ -468,12 +426,16 @@ Result<RunReport> Executor::Run() {
         Timestamp local_wm = kMinTimestamp;
         bool anomaly_seen = false;
 
+        std::vector<Element> batch;
+        batch.reserve(batch_max);
+
         // Tears a failed bolt down and rebuilds it in place: fresh
-        // instance, state restored from the latest valid snapshot, replay
-        // log re-fed, windows re-closed up to the worker's watermark with
-        // duplicate results suppressed. Returns OK when the worker may
-        // keep consuming; otherwise the error that cancels the run.
-        auto attempt_recovery = [&](const Status& cause) -> Status {
+        // instance, state restored from the latest valid snapshot, then
+        // the replay log and batch[.., replay_end) re-fed. Returns
+        // OK when the worker may keep consuming; otherwise the error that
+        // cancels the run.
+        auto attempt_recovery = [&](const Status& cause,
+                                    std::size_t replay_end) -> Status {
           if (!ckpt.enabled || failed.load(std::memory_order_relaxed)) {
             return cause;
           }
@@ -512,54 +474,57 @@ Result<RunReport> Executor::Run() {
           } else if (!snap.status().IsNotFound()) {
             return snap.status();
           }
-          // Catch back up. The dedup emitter is armed so windows that
-          // were already delivered before the crash are suppressed —
-          // downstream sees every window result at most once.
-          dedup.Arm();
+          // Catch back up: replay the newest max_replay_tuples consumed
+          // tuples, then re-close every window up to delivered_wm. All of
+          // that was delivered before the crash (windows close as a
+          // function of the watermark), so its output goes nowhere.
+          DiscardEmitter delivered;
           Status catch_up = Status::OK();
-          for (const Tuple& logged : replay_log) {
-            Status es = GuardedBoltCall(
-                StatusCode::kInvalidArgument, "bolt execute (replay)",
-                [&] { return bolt->Execute(logged, bolt_out); });
-            if (!es.ok() && ClassifyFailure(es) == FailureClass::kFatal) {
-              catch_up = es;
-              break;
-            }
-            // Transient/data replay failures: the tuple was already
-            // retried or quarantined on first delivery; skip it here.
-          }
-          if (catch_up.ok() && local_wm != kMinTimestamp) {
+          const std::uint64_t lost =
+              replay_log.Replay(batch, replay_end, [&](const Tuple& tuple) {
+                if (!catch_up.ok()) return;
+                Status es = GuardedBoltCall(
+                    StatusCode::kInvalidArgument, "bolt execute (replay)",
+                    [&] { return bolt->Execute(tuple, &delivered); });
+                // Transient/data replay failures: the tuple was already
+                // retried or quarantined on first delivery; skip it here.
+                if (!es.ok() && ClassifyFailure(es) == FailureClass::kFatal) {
+                  catch_up = es;
+                }
+              });
+          if (catch_up.ok() && delivered_wm != kMinTimestamp) {
             catch_up = GuardedBoltCall(
                 StatusCode::kInternal, "bolt watermark (recovery)",
-                [&] { return bolt->OnWatermark(local_wm, bolt_out); });
-            if (catch_up.ok() && emitter.HasDownstream()) {
-              // Downstream alignment is max-based per channel, so
-              // re-announcing the same watermark is idempotent.
-              emitter.Broadcast(Element::MakeWatermark(local_wm, task));
+                [&] { return bolt->OnWatermark(delivered_wm, &delivered); });
+          }
+          // The failed call was a watermark: its windows were never
+          // delivered, so they go out now.
+          if (catch_up.ok() && local_wm > delivered_wm) {
+            catch_up = GuardedBoltCall(
+                StatusCode::kInternal, "bolt watermark (recovery)",
+                [&] { return bolt->OnWatermark(local_wm, &emitter); });
+            if (catch_up.ok()) {
+              delivered_wm = local_wm;
+              if (emitter.HasDownstream()) {
+                emitter.Broadcast(Element::MakeWatermark(local_wm, task));
+              }
             }
           }
-          dedup.Disarm();
           // Tuples consumed since the snapshot that fell off the bounded
           // log are unrecoverable; fold them into the affected windows'
-          // error estimates instead of silently ignoring them. This must
-          // happen AFTER the catch-up: during replay the "next window
-          // that opens" is an already-delivered one whose re-emission the
-          // dedup suppresses, so loss noted before replay could vanish
-          // from the output. Noted here, it lands on the windows still
-          // active across the crash (or the next genuinely new window).
-          if (catch_up.ok() && consumed_since_snapshot > replay_log.size()) {
-            cp->NoteRecoveryLoss(consumed_since_snapshot -
-                                 replay_log.size());
-          }
+          // error estimates instead of silently ignoring them. Noted after
+          // the catch-up, the loss lands on the windows still open across
+          // the crash (or the next new window), never on a re-closed,
+          // discarded one.
+          if (catch_up.ok() && lost > 0) cp->NoteRecoveryLoss(lost);
           return catch_up;
         };
 
-        std::vector<Element> batch;
-        batch.reserve(batch_max);
         std::uint32_t obs_gauge_tick = 0;
 
         while (!failed.load(std::memory_order_relaxed)) {
           batch.clear();
+          replay_log.BeginBatch();
           if (in_queue->TryPopAll(&batch, batch_max) == 0) {
             // About to sleep: hand any buffered output downstream first so
             // a starved consumer is never waiting on tuples we hold.
@@ -596,7 +561,8 @@ Result<RunReport> Executor::Run() {
 
           {
             ScopedTimerNs timer(&batch_busy);
-            for (Element& element : batch) {
+            for (std::size_t k = 0; k < batch.size(); ++k) {
+              Element& element = batch[k];
               switch (element.kind) {
                 case Element::Kind::kTuple: {
                   ++batch_tuples;
@@ -609,19 +575,15 @@ Result<RunReport> Executor::Run() {
                           FaultSite::kWorkerCrash) &&
                       topology_.fault_injector->Tick(FaultSite::kWorkerCrash)
                           .fire) {
-                    status = attempt_recovery(Status::Internal(
-                        "injected fault: worker crash at stage '" +
-                        my_stage.name + "' task " + std::to_string(task)));
+                    status = attempt_recovery(
+                        Status::Internal("injected fault: worker crash at "
+                                         "stage '" +
+                                         my_stage.name + "' task " +
+                                         std::to_string(task)),
+                        k);
                     if (!status.ok()) break;
                     // Recovered; the crash hit before this tuple was
                     // consumed, so it now processes normally.
-                  }
-                  if (log_replay) {
-                    if (replay_log.size() >= ckpt.max_replay_tuples) {
-                      replay_log.pop_front();  // oldest tuple becomes loss
-                    }
-                    replay_log.push_back(element.tuple);
-                    ++consumed_since_snapshot;
                   }
                   // Supervised delivery: a thrown exception is a data
                   // error (confined to this tuple); transient failures
@@ -629,7 +591,7 @@ Result<RunReport> Executor::Run() {
                   // non-transiently is quarantined, not fatal.
                   status = GuardedBoltCall(
                       StatusCode::kInvalidArgument, "bolt execute",
-                      [&] { return bolt->Execute(element.tuple, bolt_out); });
+                      [&] { return bolt->Execute(element.tuple, &emitter); });
                   int attempts = 1;
                   if (!status.ok() && my_stage.retry.enabled()) {
                     Backoff backoff(my_stage.retry, retry_seed);
@@ -645,7 +607,7 @@ Result<RunReport> Executor::Run() {
                       status = GuardedBoltCall(
                           StatusCode::kInvalidArgument, "bolt execute",
                           [&] {
-                            return bolt->Execute(element.tuple, bolt_out);
+                            return bolt->Execute(element.tuple, &emitter);
                           });
                       if (status.ok()) metrics->AddRecovered(1);
                     }
@@ -655,9 +617,11 @@ Result<RunReport> Executor::Run() {
                     if (dead_letters_admitted.fetch_add(
                             1, std::memory_order_relaxed) <
                         max_dead_letters) {
-                      dead_letters->push_back(
-                          DeadLetter{my_stage.name, task, attempts, status,
-                                     std::move(element.tuple)});
+                      // The replay log keeps the batch: copy, not move.
+                      dead_letters->push_back(DeadLetter{
+                          my_stage.name, task, attempts, status,
+                          log_replay ? Tuple(element.tuple)
+                                     : std::move(element.tuple)});
                     } else {
                       dropped_dead_letters.fetch_add(
                           1, std::memory_order_relaxed);
@@ -667,10 +631,10 @@ Result<RunReport> Executor::Run() {
                   }
                   if (!status.ok()) {
                     // Fatal or retry-exhausted: last resort is a restart
-                    // from the checkpoint (the failing tuple is in the
-                    // replay log; a deterministic failure exhausts the
-                    // recovery budget and then cancels the run).
-                    status = attempt_recovery(status);
+                    // from the checkpoint, replaying through the failing
+                    // tuple (a deterministic failure fails its replay and
+                    // cancels the run).
+                    status = attempt_recovery(status, k + 1);
                   }
                   break;
                 }
@@ -701,9 +665,10 @@ Result<RunReport> Executor::Run() {
                     // checkpoint when enabled, fatal otherwise.
                     status = GuardedBoltCall(
                         StatusCode::kInternal, "bolt watermark", [&] {
-                          return bolt->OnWatermark(local_wm, bolt_out);
+                          return bolt->OnWatermark(local_wm, &emitter);
                         });
                     if (status.ok()) {
+                      delivered_wm = local_wm;
                       if (emitter.HasDownstream()) {
                         emitter.Broadcast(
                             Element::MakeWatermark(local_wm, task));
@@ -728,12 +693,7 @@ Result<RunReport> Executor::Run() {
                           snapshot.payload = std::move(*payload);
                           if (ckpt_store->Put(snapshot).ok()) {
                             last_snapshot_wm = local_wm;
-                            replay_log.clear();
-                            consumed_since_snapshot = 0;
-                            // Windows emitted up to here are in no
-                            // restorable state anymore, so they can never
-                            // re-emit: forget their keys.
-                            dedup.ClearSeen();
+                            replay_log.SnapshotAt(k);
                             metrics->AddSnapshots(1);
                             if (obs_snapshots != nullptr) {
                               obs_snapshots->Increment();
@@ -749,7 +709,7 @@ Result<RunReport> Executor::Run() {
                     } else {
                       // Recovery re-runs the catch-up watermark and
                       // broadcasts it itself.
-                      status = attempt_recovery(status);
+                      status = attempt_recovery(status, k);
                     }
                   }
                   break;
@@ -763,7 +723,7 @@ Result<RunReport> Executor::Run() {
                     anomaly_seen = true;
                     status = GuardedBoltCall(
                         StatusCode::kInternal, "bolt delivery anomaly",
-                        [&] { return bolt->OnDeliveryAnomaly(bolt_out); });
+                        [&] { return bolt->OnDeliveryAnomaly(&emitter); });
                     if (status.ok() && emitter.HasDownstream()) {
                       emitter.Broadcast(Element::MakeAnomaly(task));
                     }
@@ -780,7 +740,7 @@ Result<RunReport> Executor::Run() {
                   if (flushed_count == channels) {
                     status = GuardedBoltCall(
                         StatusCode::kInternal, "bolt finish",
-                        [&] { return bolt->Finish(bolt_out); });
+                        [&] { return bolt->Finish(&emitter); });
                     if (status.ok()) {
                       if (emitter.HasDownstream()) {
                         emitter.Broadcast(Element::MakeFlush(task));
@@ -806,6 +766,7 @@ Result<RunReport> Executor::Run() {
             return;
           }
           if (finished) return;  // worker done
+          if (log_replay) replay_log.Keep(std::move(batch));
         }
       });
     }

@@ -34,14 +34,20 @@
 ///
 /// With Topology::checkpoint enabled, workers are additionally
 /// *recoverable*: checkpointable bolts snapshot their O(b) state at
-/// watermark boundaries, every consumed tuple since the last snapshot is
-/// kept in a bounded replay log, and a crashed worker (kWorkerCrash
-/// injection, an escaped exception, or a retry-exhausted failure) is
-/// rebuilt in place — fresh bolt, state restored from the latest valid
-/// snapshot, log replayed, window results deduplicated by
-/// (window, group) key so downstream sees each result at most once.
-/// Tuples that fell off the bounded log are charged to the recovered
-/// windows' error estimates (Checkpointable::NoteRecoveryLoss).
+/// watermark boundaries, and the popped batches consumed since the last
+/// snapshot stay, moved whole, in a bounded replay log (ReplayLog). A
+/// crashed worker (kWorkerCrash injection, an escaped exception, or a
+/// retry-exhausted failure) is rebuilt in place: fresh bolt, state
+/// restored from the latest valid snapshot, the log's newest tuples
+/// replayed, then every window re-closed up to `delivered_wm`, the last
+/// watermark whose OnWatermark returned OK. All of that was delivered
+/// before the crash, so it goes to a discarding emitter; only when the
+/// failed call was itself a watermark is that watermark run again into
+/// the real emitter. Downstream thus sees each window result exactly
+/// once without any result being keyed (see Checkpointable for the
+/// contract this relies on). Tuples that fell off the bounded log are
+/// charged to the recovered windows' error estimates
+/// (Checkpointable::NoteRecoveryLoss).
 
 namespace spear {
 

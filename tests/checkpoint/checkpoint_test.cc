@@ -66,10 +66,64 @@ TEST(WireTest, ReaderRejectsTruncation) {
   EXPECT_TRUE(reader.ReadU64().status().IsOutOfRange());
 }
 
+TEST(WireTest, FixedWidthFieldsAreLittleEndian) {
+  std::string buf;
+  wire::AppendU32(&buf, 0x04030201u);
+  wire::AppendU64(&buf, 0x0C0B0A0908070605ull);
+  wire::AppendI64(&buf, -2);
+  wire::AppendF64(&buf, 1.0);  // 0x3FF0000000000000
+  const std::string expected =
+      std::string("\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0A\x0B\x0C", 12) +
+      std::string("\xFE\xFF\xFF\xFF\xFF\xFF\xFF\xFF", 8) +
+      std::string("\x00\x00\x00\x00\x00\x00\xF0\x3F", 8);
+  EXPECT_EQ(buf, expected);
+}
+
+TEST(WireTest, ReaderStopsAtItsLimit) {
+  std::string buf;
+  wire::AppendU32(&buf, 7);
+  wire::AppendU32(&buf, 9);
+  wire::Reader reader(buf, 4);
+  Result<std::uint32_t> first = reader.ReadU32();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, 7u);
+  EXPECT_TRUE(reader.exhausted());
+  EXPECT_TRUE(reader.ReadU32().status().IsOutOfRange());
+}
+
 TEST(Crc32Test, MatchesKnownVector) {
   // The canonical CRC-32 (IEEE 802.3) check value.
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0x00000000u);
+}
+
+// The eight-bytes-per-step CRC must equal the plain bytewise definition at
+// every length and alignment, so snapshots written by either stay valid.
+TEST(Crc32Test, MatchesBytewiseDefinitionAtEveryLengthAndOffset) {
+  auto bytewise = [](const char* data, std::size_t size) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+      crc ^= static_cast<unsigned char>(data[i]);
+      for (int k = 0; k < 8; ++k) {
+        crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  std::string data;
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (int i = 0; i < 300; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    data.push_back(static_cast<char>(x >> 56));
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t size = 0; offset + size <= data.size(); ++size) {
+      ASSERT_EQ(Crc32(data.data() + offset, size),
+                bytewise(data.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+  EXPECT_EQ(Crc32(data), bytewise(data.data(), data.size()));
 }
 
 TEST(SnapshotCodecTest, RoundTrips) {
