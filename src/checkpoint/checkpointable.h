@@ -56,6 +56,14 @@ class Checkpointable {
   /// SpearWindowManager inflates ε̂_w of every affected window by the
   /// loss ratio and flags the windows as recovered/anomalous.
   virtual void NoteRecoveryLoss(std::uint64_t lost_tuples) = 0;
+
+  /// Brackets recovery's catch-up: on after RestoreState, before the
+  /// replay log is re-fed; off once every window up to the last delivered
+  /// watermark has been re-closed. Those windows were delivered before the
+  /// crash, so an implementation keeps its own state current but records
+  /// them nowhere outside it (metrics, trace spans): each delivered window
+  /// is recorded once. Ignored by default.
+  virtual void SetCatchingUp(bool catching_up) { (void)catching_up; }
 };
 
 /// \brief A spout whose consumption position can be read and restored.

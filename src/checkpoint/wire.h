@@ -11,9 +11,9 @@
 /// \file wire.h
 /// Little-endian binary encoding helpers shared by the checkpoint
 /// subsystem: the snapshot envelope (checkpoint.h) and the operator state
-/// payloads serialized by the stateful bolts (SpearWindowManager). Same
-/// byte conventions as tuple/serde.h, but free of any tuple dependency so
-/// state payloads stay opaque byte strings to the store.
+/// payloads serialized by the stateful bolts (SpearWindowManager). Free of
+/// any tuple dependency, so state payloads stay opaque byte strings to the
+/// store.
 
 namespace spear {
 namespace wire {

@@ -32,6 +32,10 @@ void SpearBolt::NoteRecoveryLoss(std::uint64_t lost_tuples) {
   if (manager_ != nullptr) manager_->NoteRecoveryLoss(lost_tuples);
 }
 
+void SpearBolt::SetCatchingUp(bool catching_up) {
+  if (manager_ != nullptr) manager_->SetCatchingUp(catching_up);
+}
+
 Status SpearBolt::Finish(Emitter* out) {
   (void)out;
   if (decision_sink_ != nullptr && manager_ != nullptr) {
@@ -123,21 +127,10 @@ Status SpearBolt::ProcessWatermark(std::int64_t watermark, Emitter* out) {
       manager_->OnWatermark(watermark);
   if (!results.ok()) return results.status();
 
+  // The manager recorded each window's outcome; the bolt delivers it.
   for (WindowResult& result : *results) {
     if (overload_ != nullptr) {
       overload_->ObserveWindowLatency(result.processing_ns);
-    }
-    if (metrics_ != nullptr) {
-      metrics_->RecordWindowNs(result.processing_ns);
-      // Memory used for producing the result: the budget state when
-      // expedited, the materialized window when exact (Fig. 7 semantics).
-      if (result.approximate) {
-        metrics_->RecordMemoryBytes(result.tuples_processed * sizeof(double) +
-                                    sizeof(RunningStats));
-      } else {
-        metrics_->RecordMemoryBytes(result.window_size *
-                                    (sizeof(Tuple) + 2 * sizeof(Value)));
-      }
     }
     for (Tuple& t : WindowResultToTuples(result)) out->Emit(std::move(t));
   }

@@ -54,6 +54,7 @@ class SpearBolt : public Bolt, public Checkpointable {
   Result<std::string> SnapshotState() override;
   Status RestoreState(const std::string& payload) override;
   void NoteRecoveryLoss(std::uint64_t lost_tuples) override;
+  void SetCatchingUp(bool catching_up) override;
 
  private:
   Status ProcessWatermark(std::int64_t watermark, Emitter* out);

@@ -142,9 +142,9 @@ void SpearWindowManager::SetObservability(obs::MetricsShard* shard,
   obs_stage_ = std::move(stage);
   obs_task_ = task;
   if (shard == nullptr) return;
-  obs_windows_expedited_ = shard->GetCounter("windows_expedited");
-  obs_windows_exact_ = shard->GetCounter("windows_exact");
-  obs_windows_degraded_ = shard->GetCounter("windows_degraded");
+  obs_windows_by_verdict_ = {shard->GetCounter("windows_expedited"),
+                             shard->GetCounter("windows_exact"),
+                             shard->GetCounter("windows_degraded")};
   obs_windows_recovered_ = shard->GetCounter("windows_recovered");
   obs_windows_shed_loss_ = shard->GetCounter("windows_shed_loss");
   obs_deadline_aborts_ = shard->GetCounter("deadline_aborts");
@@ -433,9 +433,10 @@ Result<CompleteWindow> SpearWindowManager::MaterializeWindow(
   CompleteWindow window;
   window.bounds = bounds;
   // Clock reads are amortized over batches of copies so the deadline
-  // check stays off the per-tuple critical path.
+  // check stays off the per-tuple critical path. The first copy checks:
+  // the unspill alone may have blown the deadline.
   constexpr std::size_t kDeadlineCheckStride = 256;
-  std::size_t since_check = 0;
+  std::size_t since_check = kDeadlineCheckStride - 1;
   const auto copy = [&](const Tuple& tuple, std::uint32_t) {
     if (deadline_ns != 0 && ++since_check == kDeadlineCheckStride) {
       since_check = 0;
@@ -472,18 +473,21 @@ void SpearWindowManager::CorruptBudgetForTesting() {
   }
 }
 
+double SpearWindowManager::LossInflationOf(const WindowState& state) const {
+  return ignore_loss_accounting_
+             ? 0.0
+             : LossInflation(state.count, state.lost + state.shed);
+}
+
 Result<WindowResult> SpearWindowManager::MakeDegradedResult(
-    const WindowBounds& bounds, WindowState* state) {
-  const double inflate =
-      ignore_loss_accounting_
-          ? 0.0
-          : LossInflation(state->count, state->lost + state->shed);
+    const WindowBounds& bounds, const WindowState& state) {
+  const double inflate = LossInflationOf(state);
   WindowResult result;
   result.bounds = bounds;
-  result.window_size = state->count + state->lost + state->shed;
+  result.window_size = state.count + state.lost + state.shed;
   result.approximate = true;
   result.degraded = true;
-  result.recovered = state->recovered;
+  result.recovered = state.recovered;
 
   switch (mode_) {
     case SpearMode::kScalarIncremental:
@@ -492,20 +496,20 @@ Result<WindowResult> SpearWindowManager::MakeDegradedResult(
       // Emit the sample estimate even though it failed the budget test;
       // ε̂_w documents the (unmet) accuracy.
       SPEAR_ASSIGN_OR_RETURN(const ScalarEstimate est,
-                             EstimateScalarForState(*state));
+                             EstimateScalarForState(state));
       result.scalar = est.estimate;
       result.estimated_error = est.epsilon_hat + inflate;
-      result.tuples_processed = state->sample->sample().size();
+      result.tuples_processed = state.sample->sample().size();
       return result;
     }
     case SpearMode::kGroupedKnown: {
       SPEAR_ASSIGN_OR_RETURN(
           const GroupedEstimate est,
-          EstimateGrouped(config_.aggregate, *state->groups, state->budget,
+          EstimateGrouped(config_.aggregate, *state.groups, state.budget,
                           config_.accuracy, config_.group_error_norm,
                           config_.quantile_bound));
       result.estimated_error = est.epsilon_hat + inflate;
-      SPEAR_RETURN_NOT_OK(PopulateGroupedResultFromReservoirs(*state, &result));
+      SPEAR_RETURN_NOT_OK(PopulateGroupedResultFromReservoirs(state, &result));
       return result;
     }
     case SpearMode::kGroupedUnknown: {
@@ -517,10 +521,10 @@ Result<WindowResult> SpearWindowManager::MakeDegradedResult(
             "cannot degrade holistic grouped window: spilled tuples "
             "unavailable");
       }
-      const GroupStatsTracker& tracker = *state->groups;
+      const GroupStatsTracker& tracker = *state.groups;
       SPEAR_ASSIGN_OR_RETURN(
           const GroupedEstimate est,
-          EstimateGrouped(config_.aggregate, tracker, state->budget,
+          EstimateGrouped(config_.aggregate, tracker, state.budget,
                           config_.accuracy, config_.group_error_norm,
                           config_.quantile_bound));
       result.estimated_error = est.epsilon_hat + inflate;
@@ -548,125 +552,243 @@ Result<WindowResult> SpearWindowManager::MakeDegradedResult(
   return Status::Internal("unknown mode");
 }
 
-Result<WindowResult> SpearWindowManager::DecideWindow(
-    const WindowBounds& bounds, WindowState* state, bool* needs_scan,
-    bool* needs_exact) {
-  *needs_scan = false;
-  *needs_exact = false;
-
-  // Delivery-loss inflation: an estimate is only accepted when ε̂_w plus
-  // the recovery-loss + shed ratio still meets the spec — the AF-Stream
-  // contract folded into the paper's expedite test.
-  const double inflate =
-      ignore_loss_accounting_
-          ? 0.0
-          : LossInflation(state->count, state->lost + state->shed);
-  const auto meets_spec = [&](double epsilon_hat) {
-    return inflate == 0.0 ||
-           epsilon_hat + inflate <= config_.accuracy.epsilon;
-  };
-
+Result<std::optional<WindowResult>> SpearWindowManager::DecideWindow(
+    const WindowBounds& bounds, const WindowState& state) {
+  using Decision = std::optional<WindowResult>;
   WindowResult result;
   result.bounds = bounds;
-  result.window_size = state->count + state->lost + state->shed;
-  result.recovered = state->recovered;
+  result.window_size = state.count + state.lost + state.shed;
+  result.recovered = state.recovered;
 
-  // Corrupted budget state means no estimate can be trusted: fall back to
-  // the exact path (the safe direction of the degradation trade).
-  if (BudgetStateCorrupted(*state)) {
-    *needs_exact = true;
-    return result;
+  if (mode_ == SpearMode::kScalarIncremental && !state.anomalous) {
+    // Exact result from the running accumulator; no watermark-time work.
+    SPEAR_ASSIGN_OR_RETURN(result.scalar,
+                           EvaluateFromStats(config_.aggregate, state.stats));
+    return Decision(std::move(result));
   }
 
+  // The budget estimate decides. An incremental window gets here after a
+  // delivery anomaly: its accumulator may have missed tuples, so the
+  // sample answers, and only a failed estimate rescans the window (paper
+  // Sec. 4.1).
+  bool accepted = false;
+  double epsilon_hat = 0.0;
+  std::vector<std::uint64_t> scan_sizes;  // grouped-unknown allocation n_g
   switch (mode_) {
-    case SpearMode::kScalarIncremental: {
-      if (!state->anomalous) {
-        // Exact result from the running accumulator; no watermark-time
-        // work.
-        SPEAR_ASSIGN_OR_RETURN(result.scalar,
-                               EvaluateFromStats(config_.aggregate,
-                                                 state->stats));
-        result.approximate = false;
-        result.tuples_processed = 0;
-        return result;
-      }
-      // Delivery anomaly: the accumulator may have missed tuples. Fall
-      // back to the budget sample and its accuracy estimate; only rescan
-      // the window when even that fails the spec (paper Sec. 4.1).
-      SPEAR_ASSIGN_OR_RETURN(const ScalarEstimate est,
-                             EstimateScalarForState(*state));
-      if (est.accepted && meets_spec(est.epsilon_hat)) {
-        result.scalar = est.estimate;
-        result.approximate = true;
-        result.estimated_error = est.epsilon_hat + inflate;
-        result.tuples_processed = state->sample->sample().size();
-        return result;
-      }
-      *needs_exact = true;
-      return result;
-    }
+    case SpearMode::kScalarIncremental:
     case SpearMode::kScalarSampled:
     case SpearMode::kScalarQuantile: {
       SPEAR_ASSIGN_OR_RETURN(const ScalarEstimate est,
-                             EstimateScalarForState(*state));
-      if (est.accepted && meets_spec(est.epsilon_hat)) {
-        result.scalar = est.estimate;
-        result.approximate = true;
-        result.estimated_error = est.epsilon_hat + inflate;
-        result.tuples_processed = state->sample->sample().size();
-        return result;
-      }
-      *needs_exact = true;
-      return result;
+                             EstimateScalarForState(state));
+      accepted = est.accepted;
+      epsilon_hat = est.epsilon_hat;
+      result.scalar = est.estimate;
+      result.tuples_processed = state.sample->sample().size();
+      break;
     }
     case SpearMode::kGroupedUnknown: {
       SPEAR_ASSIGN_OR_RETURN(
-          const GroupedEstimate est,
-          EstimateGrouped(config_.aggregate, *state->groups, state->budget,
+          GroupedEstimate est,
+          EstimateGrouped(config_.aggregate, *state.groups, state.budget,
                           config_.accuracy, config_.group_error_norm,
                           config_.quantile_bound));
-      if (est.accepted && meets_spec(est.epsilon_hat)) {
-        result.approximate = true;
-        result.estimated_error = est.epsilon_hat + inflate;
-        SPEAR_RETURN_NOT_OK(PopulateGroupedResultFromScan(
-            bounds, *state->groups, est.sample_sizes, &result));
-        *needs_scan = true;
-        return result;
-      }
-      *needs_exact = true;
-      return result;
+      accepted = est.accepted;
+      epsilon_hat = est.epsilon_hat;
+      scan_sizes = std::move(est.sample_sizes);
+      break;
     }
     case SpearMode::kGroupedKnown: {
       // The declared group count bounds the budget split; more groups than
       // declared means the reservoirs are undersized — fall back.
-      if (state->groups->overflowed() ||
-          state->groups->num_groups() > config_.known_num_groups) {
-        *needs_exact = true;
-        return result;
+      if (state.groups->overflowed() ||
+          state.groups->num_groups() > config_.known_num_groups) {
+        return Decision();
       }
       // Errors under the reservoirs' actual sizes (one per slot).
-      std::vector<std::uint64_t> sample_sizes(state->groups->num_groups(), 0);
-      for (std::size_t slot = 0; slot < state->group_samples.size(); ++slot) {
-        sample_sizes[slot] = state->group_samples[slot].sample().size();
+      std::vector<std::uint64_t> sample_sizes(state.groups->num_groups(), 0);
+      for (std::size_t slot = 0; slot < state.group_samples.size(); ++slot) {
+        sample_sizes[slot] = state.group_samples[slot].sample().size();
       }
       SPEAR_ASSIGN_OR_RETURN(
           const GroupedEstimate est,
           EstimateGroupedWithAllocations(
-              config_.aggregate, *state->groups, std::move(sample_sizes),
+              config_.aggregate, *state.groups, std::move(sample_sizes),
               config_.accuracy, config_.group_error_norm,
               config_.quantile_bound));
-      if (est.accepted && meets_spec(est.epsilon_hat)) {
-        result.approximate = true;
-        result.estimated_error = est.epsilon_hat + inflate;
-        SPEAR_RETURN_NOT_OK(
-            PopulateGroupedResultFromReservoirs(*state, &result));
-        return result;
-      }
-      *needs_exact = true;
-      return result;
+      accepted = est.accepted;
+      epsilon_hat = est.epsilon_hat;
+      break;
     }
   }
-  return Status::Internal("unknown mode");
+
+  // Delivery-loss inflation: an estimate is only accepted when ε̂_w plus
+  // the recovery-loss + shed ratio still meets the spec — the AF-Stream
+  // contract folded into the paper's expedite test.
+  const double inflate = LossInflationOf(state);
+  if (!accepted ||
+      !(inflate == 0.0 || epsilon_hat + inflate <= config_.accuracy.epsilon)) {
+    return Decision();
+  }
+  result.approximate = true;
+  result.estimated_error = epsilon_hat + inflate;
+  if (mode_ == SpearMode::kGroupedUnknown) {
+    SPEAR_RETURN_NOT_OK(PopulateGroupedResultFromScan(bounds, *state.groups,
+                                                      scan_sizes, &result));
+  } else if (mode_ == SpearMode::kGroupedKnown) {
+    SPEAR_RETURN_NOT_OK(PopulateGroupedResultFromReservoirs(state, &result));
+  }
+  return Decision(std::move(result));
+}
+
+Result<WindowResult> SpearWindowManager::CloseWindow(const WindowBounds& bounds,
+                                                     const WindowState& state,
+                                                     WindowOutcome* outcome) {
+  // Every path that cannot give a true answer ends here: the budget
+  // estimate with its loss-inflated ε̂_w, flagged degraded.
+  const auto degrade = [&] {
+    outcome->verdict = obs::TraceSpan::Verdict::kDegraded;
+    return MakeDegradedResult(bounds, state);
+  };
+  // Corrupted budget state means no estimate can be trusted: the window
+  // can only take the exact path (the safe direction of the trade).
+  const bool corrupted = BudgetStateCorrupted(state);
+  const bool can_degrade =
+      !corrupted && !(mode_ == SpearMode::kGroupedUnknown &&
+                      config_.aggregate.IsHolistic());
+
+  // The grouped accept path reads the buffer; make sure spilled tuples
+  // participate in the stratified sample. An unavailable S here is
+  // survivable: the window goes to the fallback, which degrades it.
+  Status unspilled = Status::OK();
+  if (mode_ == SpearMode::kGroupedUnknown && !state.recovered) {
+    unspilled = buffer_.Unspill();
+    if (!unspilled.ok() && !unspilled.IsUnavailable()) return unspilled;
+  }
+  // The stream was closed abnormally under this window (watchdog): an
+  // unknown suffix is missing, so no accuracy claim can be verified.
+  if (state.truncated && can_degrade) return degrade();
+  if (unspilled.ok() && !corrupted) {
+    // A restored window's raw buffer is incomplete (snapshots are O(b)),
+    // so the stratified-sample scan cannot run: answer from the tracker.
+    if (mode_ == SpearMode::kGroupedUnknown && state.recovered) {
+      return degrade();
+    }
+    SPEAR_ASSIGN_OR_RETURN(std::optional<WindowResult> accepted,
+                           DecideWindow(bounds, state));
+    if (accepted) return std::move(*accepted);
+  }
+
+  outcome->fell_back = true;
+  outcome->verdict = obs::TraceSpan::Verdict::kExact;
+  // An "exact" result would be silently wrong: a recovered window's
+  // post-restore buffer is partial, and a shed window's buffer is missing
+  // every tuple dropped at admission.
+  if ((state.recovered || state.shed > 0) && !corrupted) return degrade();
+  // Alg. 2 line 5: g(S.get(tau_w)) — the whole window, possibly fetched
+  // back from S, processed exactly. With a deadline configured (and a
+  // degradable window), the fetch and the materialization check the clock
+  // cooperatively — the same cancellation discipline the spill path's
+  // simulated latency uses — and a blown deadline degrades the window
+  // instead of stalling the DAG.
+  const std::int64_t deadline_ns =
+      config_.exact_deadline_ms > 0 && can_degrade
+          ? NowNs() + config_.exact_deadline_ms * 1'000'000
+          : 0;
+  const Status fetched = unspilled.ok() ? buffer_.Unspill() : unspilled;
+  if (!fetched.ok()) {
+    // S stayed unavailable after retries: the fallback cannot run.
+    if (fetched.IsUnavailable() && !corrupted) return degrade();
+    return fetched;
+  }
+  Result<CompleteWindow> window = MaterializeWindow(bounds, deadline_ns);
+  if (window.status().IsCancelled()) {
+    outcome->deadline_abort = true;
+    return degrade();
+  }
+  SPEAR_RETURN_NOT_OK(window.status());
+  return exact_operator_.Process(*window);
+}
+
+void SpearWindowManager::RecordOutcome(const WindowBounds& bounds,
+                                       const WindowState& state,
+                                       const WindowResult& result,
+                                       const WindowOutcome& outcome) {
+  using Verdict = obs::TraceSpan::Verdict;
+  const bool degraded = outcome.verdict == Verdict::kDegraded;
+
+  // The operator's own state, which a restore rebuilds: it counts
+  // recovery's catch-up too.
+  ++decision_stats_.windows_total;
+  ++(degraded            ? decision_stats_.windows_degraded
+     : outcome.fell_back ? decision_stats_.windows_exact
+                         : decision_stats_.windows_expedited);
+  if (outcome.recovered) ++decision_stats_.windows_recovered;
+  if (outcome.shed_loss) ++decision_stats_.windows_shed;
+  if (outcome.deadline_abort) ++decision_stats_.deadline_aborts;
+  decision_stats_.tuples_processed += result.tuples_processed;
+  if (budget_controller_) {
+    // The budget grows exactly when the decision fell back to exact,
+    // whether the fallback ran or degraded: a bigger sample makes the next
+    // fallback less likely. Only an accepted sample estimate can shrink
+    // it; other windows leave it unchanged.
+    budget_controller_->OnWindowOutcome(
+        !outcome.fell_back,
+        result.approximate && !degraded
+            ? result.estimated_error
+            : std::numeric_limits<double>::infinity(),
+        config_.accuracy.epsilon);
+  }
+  if (catching_up_) return;
+
+  if (metrics_ != nullptr) {
+    if (degraded) metrics_->AddDegradedWindows(1);
+    if (outcome.shed_loss) metrics_->AddWindowsShedLoss(1);
+    if (outcome.deadline_abort) metrics_->AddDeadlineAborts(1);
+    metrics_->RecordWindowNs(result.processing_ns);
+    // Memory used for producing the result: the budget state when
+    // expedited, the materialized window when exact (Fig. 7 semantics).
+    metrics_->RecordMemoryBytes(
+        result.approximate
+            ? result.tuples_processed * sizeof(double) + sizeof(RunningStats)
+            : result.window_size * (sizeof(Tuple) + 2 * sizeof(Value)));
+  }
+  if (obs_window_ns_ != nullptr) {
+    obs_windows_by_verdict_[static_cast<std::size_t>(outcome.verdict)]
+        ->Increment();
+    if (outcome.recovered) obs_windows_recovered_->Increment();
+    if (outcome.shed_loss) obs_windows_shed_loss_->Increment();
+    if (outcome.deadline_abort) obs_deadline_aborts_->Increment();
+    obs_window_ns_->Observe(result.processing_ns);
+  }
+  if (tracer_ != nullptr) {
+    obs::TraceSpan span;
+    span.stage = obs_stage_;
+    span.task = obs_task_;
+    span.window_start = bounds.start;
+    span.window_end = bounds.end;
+    span.verdict = outcome.verdict;
+    span.approximate = result.approximate;
+    span.arrivals = state.count + state.lost + state.shed;
+    span.processed = result.tuples_processed;
+    span.shed = state.shed;
+    span.lost = state.lost;
+    span.budget = state.budget;
+    span.epsilon_spec = config_.accuracy.epsilon;
+    span.alpha_spec = config_.accuracy.confidence;
+    if (result.approximate) {
+      span.epsilon_hat = result.estimated_error;
+      span.loss_inflation = LossInflationOf(state);
+      span.epsilon_sampling =
+          std::max(0.0, span.epsilon_hat - span.loss_inflation);
+    }
+    span.recovered = outcome.recovered;
+    span.truncated = state.truncated;
+    span.spilled = outcome.spilled;
+    span.deadline_abort = outcome.deadline_abort;
+    span.processing_ns = result.processing_ns;
+    span.emitted_at_ns = NowNs();
+    tracer_->Record(span);
+  }
 }
 
 Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
@@ -692,201 +814,26 @@ Result<std::vector<WindowResult>> SpearWindowManager::OnWatermark(
   while (!window_states_.empty() &&
          window_states_.begin()->first + config_.window.range <= watermark) {
     auto state_it = window_states_.begin();
-    const WindowBounds bounds{state_it->first,
-                              state_it->first + config_.window.range};
-    if (state_it->second.count > 0) {
-      ++decision_stats_.windows_total;
-      bool needs_scan = false;
-      bool needs_exact = false;
-      bool degraded = false;
-      bool deadline_aborted = false;
-
-      std::int64_t window_ns = 0;
-      WindowResult result;
-      const bool recovered_window = state_it->second.recovered;
+    const WindowState& state = state_it->second;
+    if (state.count > 0) {
+      const WindowBounds bounds{state_it->first,
+                                state_it->first + config_.window.range};
+      WindowOutcome outcome;
+      outcome.recovered = state.recovered;
+      outcome.shed_loss = state.shed > 0;
       // Unspill() empties the run, so capture participation now.
-      const bool had_spill = buffer_.HasSpilled();
-      {
+      outcome.spilled = buffer_.HasSpilled();
+      std::int64_t window_ns = 0;
+      Result<WindowResult> result = [&] {
         ScopedTimerNs timer(&window_ns);
-        // The grouped accept path reads the buffer; make sure spilled
-        // tuples participate in the stratified sample. An unavailable S
-        // here is survivable: the decision below falls back to the
-        // tracker-only degraded path.
-        Status unspilled = Status::OK();
-        if (mode_ == SpearMode::kGroupedUnknown && !recovered_window) {
-          unspilled = buffer_.Unspill();
-          if (!unspilled.ok() && !unspilled.IsUnavailable()) return unspilled;
-        }
-        const bool unspill_failed = !unspilled.ok();
-        // A window that can answer from its budget state even when the
-        // decision demands exact. Holistic grouped-unknown windows cannot
-        // (their degraded result needs the raw window).
-        const bool can_degrade =
-            !BudgetStateCorrupted(state_it->second) &&
-            !(mode_ == SpearMode::kGroupedUnknown &&
-              config_.aggregate.IsHolistic());
-        if (state_it->second.truncated && can_degrade) {
-          // The stream was closed abnormally under this window (watchdog):
-          // an unknown suffix is missing, so no accuracy claim can be
-          // verified — emit the budget estimate, flagged degraded.
-          SPEAR_ASSIGN_OR_RETURN(
-              result, MakeDegradedResult(bounds, &state_it->second));
-          degraded = true;
-        } else if (unspill_failed) {
-          needs_exact = true;
-        } else if (mode_ == SpearMode::kGroupedUnknown && recovered_window &&
-                   !BudgetStateCorrupted(state_it->second)) {
-          // A restored window's raw buffer is incomplete (snapshots are
-          // O(b)), so the stratified-sample scan cannot run: answer from
-          // the tracker alone, flagged.
-          SPEAR_ASSIGN_OR_RETURN(
-              result, MakeDegradedResult(bounds, &state_it->second));
-          degraded = true;
-        } else {
-          SPEAR_ASSIGN_OR_RETURN(
-              result, DecideWindow(bounds, &state_it->second, &needs_scan,
-                                   &needs_exact));
-        }
-        if (needs_exact && !degraded) {
-          if ((recovered_window || state_it->second.shed > 0) &&
-              !BudgetStateCorrupted(state_it->second)) {
-            // An "exact" result would be silently wrong: a recovered
-            // window's post-restore buffer is partial, and a shed window's
-            // buffer is missing every tuple dropped at admission. Degrade
-            // to the budget estimate with the loss-inflated ε̂_w instead.
-            SPEAR_ASSIGN_OR_RETURN(
-                result, MakeDegradedResult(bounds, &state_it->second));
-            degraded = true;
-          } else {
-            // Alg. 2 line 5: g(S.get(tau_w)) — the whole window, possibly
-            // fetched back from S, processed exactly. With a deadline
-            // configured (and a degradable window), the fetch and the
-            // materialization scan check the clock cooperatively — the
-            // same cancellation discipline the spill path's simulated
-            // latency uses — and a blown deadline emits the approximate
-            // result flagged degraded instead of stalling the DAG.
-            const std::int64_t deadline_ns =
-                config_.exact_deadline_ms > 0 && can_degrade
-                    ? NowNs() + config_.exact_deadline_ms * 1'000'000
-                    : 0;
-            const Status fetched =
-                unspill_failed ? unspilled : buffer_.Unspill();
-            if (fetched.ok()) {
-              if (deadline_ns != 0 && NowNs() > deadline_ns) {
-                // The unspill alone blew the budget.
-                SPEAR_ASSIGN_OR_RETURN(
-                    result, MakeDegradedResult(bounds, &state_it->second));
-                degraded = true;
-                deadline_aborted = true;
-                ++decision_stats_.deadline_aborts;
-                if (metrics_ != nullptr) metrics_->AddDeadlineAborts(1);
-              } else {
-                Result<CompleteWindow> window =
-                    MaterializeWindow(bounds, deadline_ns);
-                if (!window.ok() && window.status().IsCancelled()) {
-                  SPEAR_ASSIGN_OR_RETURN(
-                      result, MakeDegradedResult(bounds, &state_it->second));
-                  degraded = true;
-                  deadline_aborted = true;
-                  ++decision_stats_.deadline_aborts;
-                  if (metrics_ != nullptr) metrics_->AddDeadlineAborts(1);
-                } else {
-                  SPEAR_RETURN_NOT_OK(window.status());
-                  SPEAR_ASSIGN_OR_RETURN(
-                      result, exact_operator_.Process(*window));
-                }
-              }
-            } else if (fetched.IsUnavailable() &&
-                       !BudgetStateCorrupted(state_it->second)) {
-              // The exact fallback cannot run (S stayed unavailable after
-              // retries). Degrade: emit the budget estimate, flagged.
-              SPEAR_ASSIGN_OR_RETURN(
-                  result, MakeDegradedResult(bounds, &state_it->second));
-              degraded = true;
-            } else {
-              return fetched;
-            }
-          }
-        }
-      }
-      result.processing_ns = window_ns;
-      if (recovered_window) {
-        result.recovered = true;  // survives the exact-path overwrite
-        ++decision_stats_.windows_recovered;
-      }
-      if (state_it->second.shed > 0) {
-        ++decision_stats_.windows_shed;
-        if (metrics_ != nullptr) metrics_->AddWindowsShedLoss(1);
-      }
-      if (degraded) {
-        ++decision_stats_.windows_degraded;
-        if (metrics_ != nullptr) metrics_->AddDegradedWindows(1);
-      } else if (needs_exact) {
-        ++decision_stats_.windows_exact;
-      } else {
-        ++decision_stats_.windows_expedited;
-      }
-      if (obs_windows_expedited_ != nullptr) {
-        if (degraded) {
-          obs_windows_degraded_->Increment();
-        } else if (needs_exact) {
-          obs_windows_exact_->Increment();
-        } else {
-          obs_windows_expedited_->Increment();
-        }
-        if (recovered_window) obs_windows_recovered_->Increment();
-        if (state_it->second.shed > 0) obs_windows_shed_loss_->Increment();
-        if (deadline_aborted) obs_deadline_aborts_->Increment();
-        obs_window_ns_->Observe(window_ns);
-      }
-      if (tracer_ != nullptr) {
-        const WindowState& ws = state_it->second;
-        obs::TraceSpan span;
-        span.stage = obs_stage_;
-        span.task = obs_task_;
-        span.window_start = bounds.start;
-        span.window_end = bounds.end;
-        using Verdict = obs::TraceSpan::Verdict;
-        span.verdict = degraded      ? Verdict::kDegraded
-                       : needs_exact ? Verdict::kExact
-                                     : Verdict::kExpedited;
-        span.approximate = result.approximate;
-        span.arrivals = ws.count + ws.lost + ws.shed;
-        span.processed = result.tuples_processed;
-        span.shed = ws.shed;
-        span.lost = ws.lost;
-        span.budget = ws.budget;
-        span.epsilon_spec = config_.accuracy.epsilon;
-        span.alpha_spec = config_.accuracy.confidence;
-        if (result.approximate) {
-          span.epsilon_hat = result.estimated_error;
-          span.loss_inflation =
-              ignore_loss_accounting_
-                  ? 0.0
-                  : LossInflation(ws.count, ws.lost + ws.shed);
-          span.epsilon_sampling =
-              std::max(0.0, span.epsilon_hat - span.loss_inflation);
-        }
-        span.recovered = recovered_window;
-        span.truncated = ws.truncated;
-        span.spilled = had_spill;
-        span.deadline_abort = deadline_aborted;
-        span.processing_ns = window_ns;
-        span.emitted_at_ns = NowNs();
-        tracer_->Record(span);
-      }
-      if (budget_controller_) {
-        // A degraded window counts as a fallback for budget adaptation: a
-        // bigger sample makes the next degradation less inaccurate.
-        budget_controller_->OnWindowOutcome(
-            !needs_exact,
-            result.approximate && !degraded
-                ? result.estimated_error
-                : std::numeric_limits<double>::infinity(),
-            config_.accuracy.epsilon);
-      }
-      decision_stats_.tuples_processed += result.tuples_processed;
-      out.push_back(std::move(result));
+        return CloseWindow(bounds, state, &outcome);
+      }();
+      if (!result.ok()) return result.status();
+      result->processing_ns = window_ns;
+      // Survives the exact path, whose result knows nothing of recovery.
+      if (outcome.recovered) result->recovered = true;
+      RecordOutcome(bounds, state, *result, outcome);
+      out.push_back(std::move(*result));
     }
     window_states_.erase(state_it);
   }

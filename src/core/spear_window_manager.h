@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <optional>
@@ -147,9 +148,15 @@ class SpearWindowManager {
   const SpearOperatorConfig& config() const { return config_; }
   const DecisionStats& decision_stats() const { return decision_stats_; }
 
-  /// Wires the owning worker's metrics (fault counters: storage retries,
-  /// recoveries, degraded windows). Optional; null disables reporting.
+  /// Wires the owning worker's metrics (fault and overload counters, and
+  /// each window's time and memory samples). Optional; null disables
+  /// reporting.
   void SetMetrics(WorkerMetrics* metrics) { metrics_ = metrics; }
+
+  /// Recovery's catch-up (Checkpointable::SetCatchingUp): while on, window
+  /// outcomes update only DecisionStats and the budget controller, and
+  /// reach no WorkerMetrics, obs instrument or trace span.
+  void SetCatchingUp(bool catching_up) { catching_up_ = catching_up; }
 
   /// Wires the observable layer: the worker's metrics shard (exported
   /// counters/histograms/gauges) and/or the per-window trace sink. Either
@@ -243,12 +250,40 @@ class SpearWindowManager {
   void UpdateWindowState(WindowState* state, double value,
                          std::uint32_t key_id);
 
-  /// Decides + produces the result for one complete window. Sets
-  /// `needs_tuples` when the exact fallback (or the grouped stratified
-  /// scan) requires the raw window.
-  Result<WindowResult> DecideWindow(const WindowBounds& bounds,
-                                    WindowState* state, bool* needs_scan,
-                                    bool* needs_exact);
+  /// How one closed window's result was produced.
+  struct WindowOutcome {
+    obs::TraceSpan::Verdict verdict = obs::TraceSpan::Verdict::kExpedited;
+    /// The decision fell back to exact (Alg. 2 line 5), whether the exact
+    /// fallback then ran or the window degraded.
+    bool fell_back = false;
+    bool deadline_abort = false;  ///< the exact fallback blew its deadline
+    bool spilled = false;         ///< S held tuples when the window closed
+    bool recovered = false;       ///< the window lived through a restore
+    bool shed_loss = false;       ///< tuples were shed from the window
+  };
+
+  /// Alg. 2 for one complete window: the accepted estimate, the exact
+  /// fallback, or (when the fallback cannot give a true answer) the
+  /// degraded estimate. Fills in `outcome`'s verdict, fallback and
+  /// deadline flags.
+  Result<WindowResult> CloseWindow(const WindowBounds& bounds,
+                                   const WindowState& state,
+                                   WindowOutcome* outcome);
+
+  /// The expedite test on the window's budget state: the accepted result,
+  /// or nullopt when the window must fall back to exact. The state must
+  /// not be corrupted.
+  Result<std::optional<WindowResult>> DecideWindow(const WindowBounds& bounds,
+                                                   const WindowState& state);
+
+  /// Feeds one emitted window's outcome to DecisionStats, the budget
+  /// controller, WorkerMetrics, the obs counters and histogram, and the
+  /// trace span. The only code that records window outcomes.
+  void RecordOutcome(const WindowBounds& bounds, const WindowState& state,
+                     const WindowResult& result, const WindowOutcome& outcome);
+
+  /// ε̂_w's delivery-loss inflation (0 with loss accounting off).
+  double LossInflationOf(const WindowState& state) const;
 
   /// Scalar estimation dispatch (built-in or custom estimator).
   Result<ScalarEstimate> EstimateScalarForState(const WindowState& state);
@@ -281,13 +316,13 @@ class SpearWindowManager {
   /// cannot be trusted, so the decision falls back to exact.
   bool BudgetStateCorrupted(const WindowState& state) const;
 
-  /// Emits the window from the budget sample even though the decision
-  /// demanded exact processing (spilled state unavailable after retries):
-  /// the AF-Stream trade of accuracy for availability. Holistic grouped
-  /// windows cannot degrade (their result needs the raw window) and
-  /// propagate the storage error instead.
+  /// Emits the window from its budget state, flagged degraded, when no
+  /// true answer can be given (truncated stream, incomplete restored or
+  /// shed buffer, S unavailable, blown deadline): the AF-Stream trade of
+  /// accuracy for availability. Holistic grouped-unknown windows cannot
+  /// degrade (their result needs the raw window) and return Unavailable.
   Result<WindowResult> MakeDegradedResult(const WindowBounds& bounds,
-                                          WindowState* state);
+                                          const WindowState& state);
 
   const SpearOperatorConfig config_;
   const SpearMode mode_;
@@ -319,14 +354,14 @@ class SpearWindowManager {
 
   WorkerMetrics* metrics_ = nullptr;
   bool ignore_loss_accounting_ = false;
+  bool catching_up_ = false;
 
   // Observability (all null when the topology runs unobserved).
   obs::WindowTracer* tracer_ = nullptr;
   std::string obs_stage_;
   int obs_task_ = 0;
-  obs::Counter* obs_windows_expedited_ = nullptr;
-  obs::Counter* obs_windows_exact_ = nullptr;
-  obs::Counter* obs_windows_degraded_ = nullptr;
+  /// Window counters indexed by obs::TraceSpan::Verdict.
+  std::array<obs::Counter*, 3> obs_windows_by_verdict_{};
   obs::Counter* obs_windows_recovered_ = nullptr;
   obs::Counter* obs_windows_shed_loss_ = nullptr;
   obs::Counter* obs_deadline_aborts_ = nullptr;

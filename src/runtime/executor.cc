@@ -477,9 +477,11 @@ Result<RunReport> Executor::Run() {
           // Catch back up: replay the newest max_replay_tuples consumed
           // tuples, then re-close every window up to delivered_wm. All of
           // that was delivered before the crash (windows close as a
-          // function of the watermark), so its output goes nowhere.
+          // function of the watermark), so its output goes nowhere, and
+          // the bolt records none of it again (SetCatchingUp).
           DiscardEmitter delivered;
           Status catch_up = Status::OK();
+          cp->SetCatchingUp(true);
           const std::uint64_t lost =
               replay_log.Replay(batch, replay_end, [&](const Tuple& tuple) {
                 if (!catch_up.ok()) return;
@@ -497,6 +499,7 @@ Result<RunReport> Executor::Run() {
                 StatusCode::kInternal, "bolt watermark (recovery)",
                 [&] { return bolt->OnWatermark(delivered_wm, &delivered); });
           }
+          cp->SetCatchingUp(false);
           // The failed call was a watermark: its windows were never
           // delivered, so they go out now.
           if (catch_up.ok() && local_wm > delivered_wm) {

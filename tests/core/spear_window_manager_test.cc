@@ -4,11 +4,16 @@
 
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <unordered_map>
 
+#include "common/fault.h"
 #include "common/rng.h"
 #include "data/datasets.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "ops/exact_operator.h"
+#include "runtime/metrics.h"
 #include "stats/error_metrics.h"
 #include "window/single_buffer_manager.h"
 #include "window/window_assigner.h"
@@ -665,6 +670,367 @@ TEST(SpearManagerTest, SpilledGroupedTuplesReinternOnFetch) {
   }
   EXPECT_EQ(spilling.key_dictionary().live(), 0u);
   EXPECT_EQ(storage.TotalTuples(), 0u);
+}
+
+// ---- Verdict paths ---------------------------------------------------------
+//
+// Each scenario closes exactly one window along one path of the decision
+// (accept, exact, fallback, and every way a window degrades), with the
+// manager wired to every consumer of its outcomes. Every consumer must
+// agree on the verdict and the flags: DecisionStats, the obs counters and
+// histogram, the trace span and the WorkerMetrics fault/overload counters.
+
+using Verdict = obs::TraceSpan::Verdict;
+
+/// A manager wired to every consumer of its window outcomes.
+struct Probe {
+  WorkerMetrics metrics{"stateful", 0};
+  obs::MetricsRegistry registry;
+  obs::WindowTracer tracer{obs::TraceOptions{}};
+  std::unique_ptr<FaultInjector> injector;
+  std::unique_ptr<SecondaryStorage> storage;  ///< the spill target, if any
+  std::unique_ptr<SpearWindowManager> mgr;
+
+  SpearWindowManager& Wire(std::unique_ptr<SpearWindowManager> manager) {
+    mgr = std::move(manager);
+    mgr->SetMetrics(&metrics);
+    mgr->SetObservability(registry.GetShard("stateful", 0), &tracer,
+                          "stateful", 0);
+    return *mgr;
+  }
+};
+
+/// One closed window and the budget the manager held before closing it.
+struct Closed {
+  std::unique_ptr<Probe> probe = std::make_unique<Probe>();
+  std::vector<WindowResult> results;
+  std::size_t budget_before = 0;
+};
+
+/// What every consumer must have recorded for the window.
+struct Expected {
+  Verdict verdict = Verdict::kExpedited;
+  bool approximate = false;
+  bool recovered = false;
+  bool truncated = false;
+  bool shed = false;
+  bool spilled = false;
+  bool deadline_abort = false;
+};
+
+/// How the adaptive controller must move after the window.
+enum class BudgetMove { kGrow, kSame, kShrink };
+
+struct VerdictCase {
+  const char* name;
+  std::function<void(bool adaptive, Closed*)> run;
+  Expected want;
+  BudgetMove controller;
+};
+
+RetryPolicy FastRetry() {
+  RetryPolicy policy;
+  policy.max_attempts = 2;
+  policy.initial_backoff_ns = 10'000;
+  policy.max_backoff_ns = 100'000;
+  return policy;
+}
+
+/// Closes every window up to `watermark`, noting the budget beforehand.
+void CloseAt(std::int64_t watermark, Closed* closed) {
+  closed->budget_before = closed->probe->mgr->budget_elements();
+  auto results = closed->probe->mgr->OnWatermark(watermark);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  closed->results = std::move(*results);
+}
+
+/// Noisy values: a small sample cannot certify a tight ε on them.
+double Noisy(Rng* rng) { return 1.0 + 3.0 * rng->NextGaussian(); }
+
+std::vector<VerdictCase> VerdictCases() {
+  std::vector<VerdictCase> cases;
+
+  cases.push_back(
+      {"expedited from a sample",
+       [](bool adaptive, Closed* c) {
+         auto config = BaseConfig();
+         config.aggregate = AggregateSpec::Median();
+         config.budget = Budget::Tuples(500);
+         config.adaptive_budget = adaptive;
+         auto& mgr = c->probe->Wire(
+             std::make_unique<SpearWindowManager>(config, NumericField(0)));
+         Rng rng(1);
+         for (int i = 0; i < 20000; ++i) {
+           mgr.OnTuple(i % 1000, ScalarTuple(i % 1000, rng.NextDouble()));
+         }
+         CloseAt(1000, c);
+       },
+       {Verdict::kExpedited, /*approximate=*/true},
+       BudgetMove::kShrink});
+
+  cases.push_back(
+      {"exact from the incremental accumulator",
+       [](bool adaptive, Closed* c) {
+         auto config = BaseConfig();
+         config.aggregate = AggregateSpec::Mean();
+         config.adaptive_budget = adaptive;
+         auto& mgr = c->probe->Wire(
+             std::make_unique<SpearWindowManager>(config, NumericField(0)));
+         for (int i = 0; i < 500; ++i) mgr.OnTuple(i, ScalarTuple(i, i * 0.5));
+         CloseAt(1000, c);
+       },
+       {Verdict::kExpedited, /*approximate=*/false},
+       BudgetMove::kSame});
+
+  cases.push_back(
+      {"exact fallback",
+       [](bool adaptive, Closed* c) {
+         auto config = BaseConfig();
+         config.aggregate = AggregateSpec::Median();
+         config.budget = Budget::Tuples(20);
+         config.adaptive_budget = adaptive;
+         auto& mgr = c->probe->Wire(
+             std::make_unique<SpearWindowManager>(config, NumericField(0)));
+         Rng rng(2);
+         for (int i = 0; i < 5000; ++i) {
+           mgr.OnTuple(i % 1000, ScalarTuple(i % 1000, rng.NextDouble()));
+         }
+         CloseAt(1000, c);
+       },
+       {Verdict::kExact, /*approximate=*/false},
+       BudgetMove::kGrow});
+
+  cases.push_back(
+      {"degraded by truncation",
+       [](bool adaptive, Closed* c) {
+         auto config = BaseConfig();
+         config.aggregate = AggregateSpec::Median();
+         config.budget = Budget::Tuples(20);
+         config.adaptive_budget = adaptive;
+         auto& mgr = c->probe->Wire(
+             std::make_unique<SpearWindowManager>(config, NumericField(0)));
+         Rng rng(3);
+         for (int i = 0; i < 500; ++i) {
+           mgr.OnTuple(i, ScalarTuple(i, rng.NextDouble()));
+         }
+         mgr.NoteStreamTruncation();
+         CloseAt(1000, c);
+       },
+       {Verdict::kDegraded, /*approximate=*/true, /*recovered=*/false,
+        /*truncated=*/true},
+       BudgetMove::kSame});
+
+  cases.push_back(
+      {"degraded as a recovered grouped-unknown window",
+       [](bool adaptive, Closed* c) {
+         auto config = BaseConfig();
+         config.aggregate = AggregateSpec::Mean();
+         config.adaptive_budget = adaptive;
+         SpearWindowManager primary(config, NumericField(1), KeyField(0));
+         Rng rng(4);
+         for (int i = 0; i < 300; ++i) {
+           const std::string key =
+               std::string("g").append(std::to_string(i % 5));
+           primary.OnTuple(i, GroupTuple(i, key, 10.0 + rng.NextDouble()));
+         }
+         Result<std::string> payload = primary.SnapshotState();
+         ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+         auto& restored = c->probe->Wire(std::make_unique<SpearWindowManager>(
+             config, NumericField(1), KeyField(0)));
+         ASSERT_TRUE(restored.RestoreState(*payload).ok());
+         CloseAt(1000, c);
+       },
+       {Verdict::kDegraded, /*approximate=*/true, /*recovered=*/true},
+       BudgetMove::kSame});
+
+  cases.push_back(
+      {"degraded by shedding plus fallback",
+       [](bool adaptive, Closed* c) {
+         auto config = BaseConfig();
+         config.aggregate = AggregateSpec::Mean();
+         config.incremental_optimization = false;
+         config.budget = Budget::Tuples(8);
+         config.adaptive_budget = adaptive;
+         auto& mgr = c->probe->Wire(
+             std::make_unique<SpearWindowManager>(config, NumericField(0)));
+         Rng rng(5);
+         for (int i = 0; i < 500; ++i) {
+           if (i % 50 == 0) {
+             mgr.OnTupleShed(i);
+           } else {
+             mgr.OnTuple(i, ScalarTuple(i, Noisy(&rng)));
+           }
+         }
+         CloseAt(1000, c);
+       },
+       {Verdict::kDegraded, /*approximate=*/true, /*recovered=*/false,
+        /*truncated=*/false, /*shed=*/true},
+       BudgetMove::kGrow});
+
+  cases.push_back(
+      {"degraded because storage stays unavailable",
+       [](bool adaptive, Closed* c) {
+         FaultPlan plan;
+         FaultRule get_fault;
+         get_fault.site = FaultSite::kStorageGet;
+         get_fault.probability = 1.0;  // S is down for reads
+         plan.Add(get_fault);
+         c->probe->injector = std::make_unique<FaultInjector>(plan);
+         c->probe->storage = std::make_unique<SecondaryStorage>();
+         c->probe->storage->InjectFaults(c->probe->injector.get());
+         auto config = BaseConfig();
+         config.aggregate = AggregateSpec::Median();
+         config.budget = Budget::Tuples(16);
+         config.accuracy = AccuracySpec{0.0001, 0.95};  // always falls back
+         config.buffer_memory_capacity = 16;
+         config.storage_retry = FastRetry();
+         config.adaptive_budget = adaptive;
+         auto& mgr = c->probe->Wire(std::make_unique<SpearWindowManager>(
+             config, NumericField(0), nullptr, c->probe->storage.get(),
+             "down"));
+         Rng rng(6);
+         for (int i = 0; i < 200; ++i) {
+           mgr.OnTuple(i, ScalarTuple(i, rng.NextDouble()));
+         }
+         CloseAt(1000, c);
+       },
+       {Verdict::kDegraded, /*approximate=*/true, /*recovered=*/false,
+        /*truncated=*/false, /*shed=*/false, /*spilled=*/true},
+       BudgetMove::kGrow});
+
+  cases.push_back(
+      {"degraded by a deadline abort",
+       [](bool adaptive, Closed* c) {
+         // Every call to S costs 2 ms against a 1 ms deadline, so the
+         // fallback's unspill alone blows it.
+         c->probe->storage = std::make_unique<SecondaryStorage>(
+             StorageLatencyModel{2'000'000, 0});
+         auto config = BaseConfig();
+         config.aggregate = AggregateSpec::Mean();
+         config.incremental_optimization = false;
+         config.budget = Budget::Tuples(4);
+         config.accuracy = AccuracySpec{0.05, 0.95};
+         config.buffer_memory_capacity = 64;
+         config.exact_deadline_ms = 1;
+         config.adaptive_budget = adaptive;
+         auto& mgr = c->probe->Wire(std::make_unique<SpearWindowManager>(
+             config, NumericField(0), nullptr, c->probe->storage.get(),
+             "slow"));
+         Rng rng(7);
+         for (int i = 0; i < 80; ++i) {
+           mgr.OnTuple(i, ScalarTuple(i, Noisy(&rng)));
+         }
+         CloseAt(1000, c);
+       },
+       {Verdict::kDegraded, /*approximate=*/true, /*recovered=*/false,
+        /*truncated=*/false, /*shed=*/false, /*spilled=*/true,
+        /*deadline_abort=*/true},
+       BudgetMove::kGrow});
+
+  return cases;
+}
+
+std::uint64_t One(bool flag) { return flag ? 1u : 0u; }
+
+TEST(SpearManagerVerdictTest, EveryConsumerRecordsTheSameVerdictAndFlags) {
+  for (const VerdictCase& vc : VerdictCases()) {
+    SCOPED_TRACE(vc.name);
+    Closed c;
+    vc.run(/*adaptive=*/false, &c);
+    if (HasFatalFailure()) return;
+    ASSERT_EQ(c.results.size(), 1u);
+    const WindowResult& r = c.results[0];
+    const Expected& want = vc.want;
+    const bool degraded = want.verdict == Verdict::kDegraded;
+
+    EXPECT_EQ(r.approximate, want.approximate);
+    EXPECT_EQ(r.degraded, degraded);
+    EXPECT_EQ(r.recovered, want.recovered);
+
+    const DecisionStats& d = c.probe->mgr->decision_stats();
+    EXPECT_EQ(d.windows_total, 1u);
+    EXPECT_EQ(d.windows_expedited, One(want.verdict == Verdict::kExpedited));
+    EXPECT_EQ(d.windows_exact, One(want.verdict == Verdict::kExact));
+    EXPECT_EQ(d.windows_degraded, One(degraded));
+    EXPECT_EQ(d.windows_recovered, One(want.recovered));
+    EXPECT_EQ(d.windows_shed, One(want.shed));
+    EXPECT_EQ(d.deadline_aborts, One(want.deadline_abort));
+    EXPECT_EQ(d.tuples_processed, r.tuples_processed);
+
+    const obs::MetricsRegistry& reg = c.probe->registry;
+    EXPECT_EQ(reg.CounterTotal("windows_expedited"),
+              One(want.verdict == Verdict::kExpedited));
+    EXPECT_EQ(reg.CounterTotal("windows_exact"),
+              One(want.verdict == Verdict::kExact));
+    EXPECT_EQ(reg.CounterTotal("windows_degraded"), One(degraded));
+    EXPECT_EQ(reg.CounterTotal("windows_recovered"), One(want.recovered));
+    EXPECT_EQ(reg.CounterTotal("windows_shed_loss"), One(want.shed));
+    EXPECT_EQ(reg.CounterTotal("deadline_aborts"), One(want.deadline_abort));
+    EXPECT_EQ(c.probe->registry.GetShard("stateful", 0)
+                  ->GetHistogram("window_processing_ns",
+                                 obs::HistogramBuckets::LatencyNs())
+                  ->count(),
+              1u);
+
+    const WorkerMetrics& m = c.probe->metrics;
+    EXPECT_EQ(m.faults().degraded_windows, One(degraded));
+    EXPECT_EQ(m.overload().windows_shed_loss, One(want.shed));
+    EXPECT_EQ(m.overload().deadline_aborts, One(want.deadline_abort));
+
+    const std::vector<obs::TraceSpan> spans = c.probe->tracer.Snapshot();
+    ASSERT_EQ(spans.size(), 1u);
+    const obs::TraceSpan& s = spans[0];
+    EXPECT_EQ(s.verdict, want.verdict);
+    EXPECT_EQ(s.approximate, want.approximate);
+    EXPECT_EQ(s.recovered, want.recovered);
+    EXPECT_EQ(s.truncated, want.truncated);
+    EXPECT_EQ(s.shed > 0, want.shed);
+    EXPECT_EQ(s.spilled, want.spilled);
+    EXPECT_EQ(s.deadline_abort, want.deadline_abort);
+    EXPECT_EQ(s.window_start, r.bounds.start);
+    EXPECT_EQ(s.window_end, r.bounds.end);
+    EXPECT_EQ(s.arrivals, r.window_size);
+    EXPECT_EQ(s.processed, r.tuples_processed);
+    EXPECT_EQ(s.epsilon_hat, r.approximate ? r.estimated_error : 0.0);
+  }
+}
+
+// Budget feedback: the controller grows exactly when the decision fell
+// back to exact, even when the fallback then ended degraded; truncated
+// and recovered grouped-unknown windows (degraded without a fallback) and
+// exact incremental answers leave it unchanged; only an accepted sample
+// estimate with ε̂_w below the shrink headroom shrinks it.
+TEST(SpearManagerVerdictTest, AdaptiveBudgetGrowsExactlyOnFallbacks) {
+  for (const VerdictCase& vc : VerdictCases()) {
+    SCOPED_TRACE(vc.name);
+    Closed c;
+    vc.run(/*adaptive=*/true, &c);
+    if (HasFatalFailure()) return;
+    ASSERT_EQ(c.results.size(), 1u);
+    const BudgetController* controller = c.probe->mgr->budget_controller();
+    ASSERT_NE(controller, nullptr);
+    const std::size_t after = c.probe->mgr->budget_elements();
+    switch (vc.controller) {
+      case BudgetMove::kGrow:
+        EXPECT_EQ(after, 2 * c.budget_before);
+        EXPECT_EQ(controller->grows(), 1u);
+        EXPECT_EQ(controller->shrinks(), 0u);
+        break;
+      case BudgetMove::kSame:
+        EXPECT_EQ(after, c.budget_before);
+        EXPECT_EQ(controller->grows(), 0u);
+        EXPECT_EQ(controller->shrinks(), 0u);
+        break;
+      case BudgetMove::kShrink:
+        EXPECT_LT(c.results[0].estimated_error,
+                  c.probe->mgr->config().adaptive_options.shrink_headroom *
+                      c.probe->mgr->config().accuracy.epsilon);
+        EXPECT_LT(after, c.budget_before);
+        EXPECT_EQ(controller->grows(), 0u);
+        EXPECT_EQ(controller->shrinks(), 1u);
+        break;
+    }
+  }
 }
 
 }  // namespace

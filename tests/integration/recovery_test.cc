@@ -177,6 +177,51 @@ TEST(RecoveryTest, CrashChaosRunMatchesCleanRunWithExactlyOnceWindows) {
   ASSERT_EQ(offset, chaos_report->output.size());
 }
 
+/// A counter's value summed over every worker's series in a scrape.
+std::uint64_t CounterSum(const std::vector<obs::MetricSample>& scrape,
+                         const std::string& name) {
+  std::uint64_t total = 0;
+  for (const obs::MetricSample& sample : scrape) {
+    if (sample.name == name) total += static_cast<std::uint64_t>(sample.value);
+  }
+  return total;
+}
+
+// Recovery's catch-up re-closes windows that were delivered before the
+// crash; their results are discarded, and so must be their records
+// outside the operator. Every delivered window has exactly one trace
+// span, one window-time sample and one obs window count, crash or not.
+TEST(RecoveryTest, CatchUpChaosRecordsEachDeliveredWindowOnce) {
+  FaultPlan plan = CrashPlan(RecoverySeed());
+  FaultInjector injector(plan);
+  CheckpointConfig ckpt;
+  ckpt.interval = 300;
+  SpearTopologyBuilder builder;
+  ConfigureRecoveryQuery(builder, 4000, 0);
+  builder.InjectFaults(&injector).Checkpoint(ckpt).Metrics().Trace();
+  auto report = Executor(std::move(*builder.Build())).Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GE(report->recoveries, 2u);
+
+  // Scalar mean: one result tuple per delivered window.
+  const std::size_t windows = report->output.size();
+  ASSERT_GT(windows, 0u);
+  const obs::ObservabilityReport& observed = report->observability;
+  EXPECT_EQ(observed.spans_sampled_out + observed.spans_dropped, 0u);
+  EXPECT_EQ(observed.spans.size(), windows);
+  std::size_t window_ns_samples = 0;
+  for (const WorkerMetrics* worker : report->metrics.ForStage("stateful")) {
+    window_ns_samples += worker->window_ns().size();
+  }
+  EXPECT_EQ(window_ns_samples, windows);
+  std::uint64_t counted = 0;
+  for (const char* verdict :
+       {"windows_expedited", "windows_exact", "windows_degraded"}) {
+    counted += CounterSum(observed.metrics, verdict);
+  }
+  EXPECT_EQ(counted, windows);
+}
+
 // The load-bearing negative: the same crash plan without checkpointing
 // must fail the run — recovery is doing real work above, not the fault
 // being cosmetic.

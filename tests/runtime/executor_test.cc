@@ -6,7 +6,6 @@
 
 #include "runtime/common_bolts.h"
 #include "runtime/spouts.h"
-#include "tuple/serde.h"
 
 namespace spear {
 namespace {
@@ -299,8 +298,9 @@ TEST(ExecutorTest, RepeatedRunsWithFreshSpoutsAreDeterministic) {
 
 TEST(ExecutorTest, BatchSizeDoesNotChangeDeterministicOutput) {
   // On a fully deterministic (fields-partitioned) topology, batch sizes 1
-  // and 64 must produce byte-identical output: per-channel order is
-  // preserved and sink outputs merge in task order.
+  // and 64 must produce identical output (same tuples, same order, equal
+  // field values): per-channel order is preserved and sink outputs merge
+  // in task order.
   auto run_with_batch = [](std::size_t batch_max) {
     std::vector<Tuple> tuples;
     for (int i = 0; i < 1000; ++i) {
@@ -322,12 +322,12 @@ TEST(ExecutorTest, BatchSizeDoesNotChangeDeterministicOutput) {
                   });
     auto report = Executor(std::move(*builder.Build())).Run();
     EXPECT_TRUE(report.ok());
-    return EncodeBatch(report->output);
+    return report->output;
   };
-  const std::string bytes_unbatched = run_with_batch(1);
-  const std::string bytes_batched = run_with_batch(64);
-  EXPECT_FALSE(bytes_unbatched.empty());
-  EXPECT_EQ(bytes_unbatched, bytes_batched);
+  const std::vector<Tuple> unbatched = run_with_batch(1);
+  const std::vector<Tuple> batched = run_with_batch(64);
+  EXPECT_FALSE(unbatched.empty());
+  EXPECT_EQ(unbatched, batched);
 }
 
 TEST(ExecutorTest, BatchLargerThanQueueCapacityBackPressures) {
