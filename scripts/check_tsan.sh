@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Builds the runtime and common test suites under ThreadSanitizer and runs
-# them, catching data races in the channel/executor machinery that a plain
-# build would only lose intermittently.
+# Builds the runtime, common, recovery, overload and obs test suites under
+# ThreadSanitizer and runs them, catching data races in the channel/executor
+# machinery and between the metrics sampler and the workers it scrapes that
+# a plain build would only lose intermittently.
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
 
@@ -14,7 +15,7 @@ cmake -S "$ROOT" -B "$ROOT/$BUILD_DIR" \
   -DSPEAR_BUILD_EXAMPLES=OFF
 cmake --build "$ROOT/$BUILD_DIR" -j"$(nproc)" \
   --target spear_common_tests spear_runtime_tests spear_recovery_tests \
-  spear_overload_tests
+  spear_overload_tests spear_obs_tests
 
 # halt_on_error makes the suite fail on the first race instead of
 # reporting and continuing with an exit code gtest would swallow.
@@ -23,4 +24,5 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$ROOT/$BUILD_DIR/tests/spear_runtime_tests"
 "$ROOT/$BUILD_DIR/tests/spear_recovery_tests"
 "$ROOT/$BUILD_DIR/tests/spear_overload_tests"
-echo "TSan: common + runtime + recovery + overload suites clean"
+"$ROOT/$BUILD_DIR/tests/spear_obs_tests"
+echo "TSan: common + runtime + recovery + overload + obs suites clean"

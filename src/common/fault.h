@@ -26,7 +26,7 @@ namespace spear {
 
 /// \brief Where a fault can be injected.
 enum class FaultSite : std::uint8_t {
-  kStorageStore = 0,  ///< SecondaryStorage::Store / StoreBatch
+  kStorageStore = 0,  ///< SecondaryStorage::Store
   kStorageGet,        ///< SecondaryStorage::Get
   kBoltProcess,       ///< Bolt::Execute (via FaultInjectingBolt)
   kBoltWatermark,     ///< Bolt::OnWatermark (via FaultInjectingBolt)

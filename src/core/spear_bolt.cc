@@ -36,8 +36,15 @@ void SpearBolt::SetCatchingUp(bool catching_up) {
   if (manager_ != nullptr) manager_->SetCatchingUp(catching_up);
 }
 
+void SpearBolt::PublishShed() {
+  if (metrics_ == nullptr || unpublished_shed_ == 0) return;
+  metrics_->AddTuplesShed(unpublished_shed_);
+  unpublished_shed_ = 0;
+}
+
 Status SpearBolt::Finish(Emitter* out) {
   (void)out;
+  PublishShed();
   if (decision_sink_ != nullptr && manager_ != nullptr) {
     decision_sink_->Add(manager_->decision_stats());
   }
@@ -80,7 +87,7 @@ Status SpearBolt::Execute(const Tuple& tuple, Emitter* out) {
                                      ? sequence_++
                                      : tuple.event_time();
       manager_->OnTupleShed(coord);
-      if (metrics_ != nullptr) metrics_->AddTuplesShed(1);
+      ++unpublished_shed_;
       if (config_.window.type == WindowType::kCountBased) {
         Status emitted = ProcessWatermark(sequence_, out);
         if (!emitted.ok() && emitted.IsUnavailable()) {
@@ -118,6 +125,7 @@ Status SpearBolt::Execute(const Tuple& tuple, Emitter* out) {
 }
 
 Status SpearBolt::OnWatermark(Timestamp watermark, Emitter* out) {
+  PublishShed();
   if (config_.window.type == WindowType::kCountBased) return Status::OK();
   return ProcessWatermark(watermark, out);
 }

@@ -32,6 +32,7 @@ class SpearBolt : public Bolt, public Checkpointable {
             KeyExtractor key_extractor = nullptr,
             SecondaryStorage* storage = nullptr,
             DecisionStatsCollector* decision_sink = nullptr);
+  ~SpearBolt() override { PublishShed(); }
 
   Status Prepare(const BoltContext& ctx) override;
   Status Execute(const Tuple& tuple, Emitter* out) override;
@@ -58,6 +59,9 @@ class SpearBolt : public Bolt, public Checkpointable {
 
  private:
   Status ProcessWatermark(std::int64_t watermark, Emitter* out);
+  /// Adds the tuples shed since the last call to tuples_shed: per executor
+  /// watermark, at Finish and on destruction (a restart), never per tuple.
+  void PublishShed();
 
   const SpearOperatorConfig config_;
   const ValueExtractor value_extractor_;
@@ -68,6 +72,7 @@ class SpearBolt : public Bolt, public Checkpointable {
   WorkerMetrics* metrics_ = nullptr;
   OverloadDetector* overload_ = nullptr;
   Rng shed_rng_;
+  std::uint64_t unpublished_shed_ = 0;
   std::int64_t sequence_ = 0;
 };
 

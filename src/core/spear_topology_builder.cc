@@ -279,6 +279,12 @@ Result<Topology> SpearTopologyBuilder::Build() const {
         "checkpointing requires a time-based window (count-based "
         "coordinates do not survive a worker restart)");
   }
+  if (checkpoint_.enabled && engine_ == ExecutionEngine::kSpear &&
+      key_extractor_ && config_.known_num_groups == 0 &&
+      config_.aggregate.IsHolistic()) {
+    return Status::Invalid(
+        "checkpointing a grouped holistic aggregate requires KnownGroups");
+  }
 
   TopologyBuilder builder;
   // Chaos wiring: perturb the stream at the source when any spout site is

@@ -119,8 +119,9 @@ class SpearTopologyBuilder {
   /// `config.interval` ms of watermark progress and are restarted from the
   /// latest snapshot on a crash, with replay-gap loss folded into ε̂_w.
   /// Requires a time-based window (count-based coordinates are assigned
-  /// from a per-worker sequence that does not survive a restart) and a
-  /// replayable source spout.
+  /// from a per-worker sequence that does not survive a restart), a
+  /// replayable source spout, and KnownGroups for a grouped holistic
+  /// aggregate (a restored window over unknown groups has no answer).
   SpearTopologyBuilder& Checkpoint(CheckpointConfig config);
 
   /// Caps retained dead-letter/suppressed-error entries (see
@@ -148,9 +149,9 @@ class SpearTopologyBuilder {
   SpearTopologyBuilder& WatermarkWatchdog(DurationMs idle_ms);
 
   // ---- observability ------------------------------------------------------
-  /// Enables exported metrics (per-worker obs::MetricsRegistry shards;
-  /// final scrape in RunReport::observability; optional periodic sampler
-  /// via `options`). Off by default.
+  /// Enables exported metrics (the final scrape of every worker's shard
+  /// in RunReport::observability, per-tuple ingest counters; optional
+  /// periodic sampler via `options`). Off by default.
   SpearTopologyBuilder& Metrics(obs::MetricsOptions options = {});
 
   /// Enables per-window TraceSpan recording of the full SPEAr decision

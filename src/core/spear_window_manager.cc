@@ -143,17 +143,11 @@ void SpearWindowManager::SetObservability(obs::MetricsShard* shard,
   obs_task_ = task;
   if (shard == nullptr) return;
   obs_windows_by_verdict_ = {shard->GetCounter("windows_expedited"),
-                             shard->GetCounter("windows_exact"),
-                             shard->GetCounter("windows_degraded")};
+                             shard->GetCounter("windows_exact")};
   obs_windows_recovered_ = shard->GetCounter("windows_recovered");
-  obs_windows_shed_loss_ = shard->GetCounter("windows_shed_loss");
-  obs_deadline_aborts_ = shard->GetCounter("deadline_aborts");
   obs_tuples_seen_ = shard->GetCounter("tuples_seen");
   obs_late_tuples_ = shard->GetCounter("late_tuples");
   obs_spill_tuples_ = shard->GetCounter("spill_tuples");
-  obs_spill_failures_ = shard->GetCounter("spill_failures");
-  obs_window_ns_ = shard->GetHistogram("window_processing_ns",
-                                       obs::HistogramBuckets::LatencyNs());
   obs_buffered_tuples_ = shard->GetGauge("buffered_tuples");
   obs_budget_bytes_ = shard->GetGauge("budget_state_bytes");
 }
@@ -246,7 +240,9 @@ void SpearWindowManager::NoteRecoveryLoss(std::uint64_t lost_tuples) {
 bool SpearWindowManager::Admit(std::int64_t coord) {
   if (coord < last_watermark_) {
     ++decision_stats_.late_tuples;
-    if (obs_late_tuples_ != nullptr) obs_late_tuples_->Increment();
+    if (obs_late_tuples_ != nullptr && !catching_up_) {
+      obs_late_tuples_->Increment();
+    }
     // Still-active windows that should have contained this tuple now hold
     // incomplete state: flag the delivery anomaly (Sec. 4.1).
     for (auto& [start, state] : window_states_) {
@@ -299,7 +295,9 @@ void SpearWindowManager::NoteStreamTruncation() {
 void SpearWindowManager::OnTuple(std::int64_t coord, Tuple tuple) {
   if (!Admit(coord)) return;
   ++decision_stats_.tuples_seen;
-  if (obs_tuples_seen_ != nullptr) obs_tuples_seen_->Increment();
+  // Replayed tuples were counted on their first delivery.
+  const bool counted = obs_tuples_seen_ != nullptr && !catching_up_;
+  if (counted) obs_tuples_seen_->Increment();
 
   // Alg. 1: update the budget state of every window the tuple joins
   // (tumbling fast path avoids the per-tuple window-list allocation).
@@ -321,10 +319,9 @@ void SpearWindowManager::OnTuple(std::int64_t coord, Tuple tuple) {
   const TupleBuffer::Custody custody =
       buffer_.Append(coord, std::move(tuple), key_id);
   if (custody == TupleBuffer::Custody::kSpilled) {
-    if (obs_spill_tuples_ != nullptr) obs_spill_tuples_->Increment();
+    if (counted) obs_spill_tuples_->Increment();
   } else if (custody == TupleBuffer::Custody::kSpillFailed) {
     if (metrics_ != nullptr) metrics_->AddSpillFailures(1);
-    if (obs_spill_failures_ != nullptr) obs_spill_failures_->Increment();
   }
 }
 
@@ -752,13 +749,12 @@ void SpearWindowManager::RecordOutcome(const WindowBounds& bounds,
             ? result.tuples_processed * sizeof(double) + sizeof(RunningStats)
             : result.window_size * (sizeof(Tuple) + 2 * sizeof(Value)));
   }
-  if (obs_window_ns_ != nullptr) {
-    obs_windows_by_verdict_[static_cast<std::size_t>(outcome.verdict)]
-        ->Increment();
+  if (obs_windows_recovered_ != nullptr) {
+    if (!degraded) {
+      obs_windows_by_verdict_[static_cast<std::size_t>(outcome.verdict)]
+          ->Increment();
+    }
     if (outcome.recovered) obs_windows_recovered_->Increment();
-    if (outcome.shed_loss) obs_windows_shed_loss_->Increment();
-    if (outcome.deadline_abort) obs_deadline_aborts_->Increment();
-    obs_window_ns_->Observe(result.processing_ns);
   }
   if (tracer_ != nullptr) {
     obs::TraceSpan span;

@@ -155,13 +155,14 @@ class SpearWindowManager {
 
   /// Recovery's catch-up (Checkpointable::SetCatchingUp): while on, window
   /// outcomes update only DecisionStats and the budget controller, and
-  /// reach no WorkerMetrics, obs instrument or trace span.
+  /// reach no WorkerMetrics, obs instrument or trace span; replayed tuples
+  /// reach no ingest counter (they were counted on first delivery).
   void SetCatchingUp(bool catching_up) { catching_up_ = catching_up; }
 
-  /// Wires the observable layer: the worker's metrics shard (exported
-  /// counters/histograms/gauges) and/or the per-window trace sink. Either
-  /// may be null; `stage`/`task` label the emitted spans. Instruments are
-  /// resolved here once, so the per-window updates stay lock-free.
+  /// Wires the observable layer: the worker's metrics shard (export-only
+  /// counters and gauges) and/or the per-window trace sink. Either may be
+  /// null; `stage`/`task` label the emitted spans. Instruments are
+  /// resolved here once, so the updates stay lock-free.
   void SetObservability(obs::MetricsShard* shard, obs::WindowTracer* tracer,
                         std::string stage, int task);
 
@@ -360,16 +361,12 @@ class SpearWindowManager {
   obs::WindowTracer* tracer_ = nullptr;
   std::string obs_stage_;
   int obs_task_ = 0;
-  /// Window counters indexed by obs::TraceSpan::Verdict.
-  std::array<obs::Counter*, 3> obs_windows_by_verdict_{};
+  /// Expedited and exact window counters, indexed by Verdict.
+  std::array<obs::Counter*, 2> obs_windows_by_verdict_{};
   obs::Counter* obs_windows_recovered_ = nullptr;
-  obs::Counter* obs_windows_shed_loss_ = nullptr;
-  obs::Counter* obs_deadline_aborts_ = nullptr;
   obs::Counter* obs_tuples_seen_ = nullptr;
   obs::Counter* obs_late_tuples_ = nullptr;
   obs::Counter* obs_spill_tuples_ = nullptr;
-  obs::Counter* obs_spill_failures_ = nullptr;
-  obs::Histogram* obs_window_ns_ = nullptr;
   obs::Gauge* obs_buffered_tuples_ = nullptr;
   obs::Gauge* obs_budget_bytes_ = nullptr;
 

@@ -81,62 +81,28 @@ Histogram* MetricsShard::GetHistogram(const std::string& name,
 
 void MetricsShard::Collect(std::vector<MetricSample>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& n : counters_) {
-    MetricSample s;
-    s.name = n.name;
+  const auto add = [&](const std::string& name, MetricSample::Kind kind) {
+    MetricSample& s = out->emplace_back();
+    s.name = name;
     s.stage = stage_;
     s.task = task_;
-    s.kind = MetricSample::Kind::kCounter;
-    s.value = static_cast<double>(n.instrument->value());
-    out->push_back(std::move(s));
+    s.kind = kind;
+    return &s;
+  };
+  for (const auto& n : counters_) {
+    add(n.name, MetricSample::Kind::kCounter)->value =
+        static_cast<double>(n.instrument->value());
   }
   for (const auto& n : gauges_) {
-    MetricSample s;
-    s.name = n.name;
-    s.stage = stage_;
-    s.task = task_;
-    s.kind = MetricSample::Kind::kGauge;
-    s.value = n.instrument->value();
-    out->push_back(std::move(s));
+    add(n.name, MetricSample::Kind::kGauge)->value = n.instrument->value();
   }
   for (const auto& n : histograms_) {
-    MetricSample s;
-    s.name = n.name;
-    s.stage = stage_;
-    s.task = task_;
-    s.kind = MetricSample::Kind::kHistogram;
-    s.bucket_bounds = n.instrument->bounds();
-    s.bucket_counts = n.instrument->bucket_counts();
-    s.hist_count = n.instrument->count();
-    s.hist_sum = static_cast<double>(n.instrument->sum());
-    out->push_back(std::move(s));
+    MetricSample* s = add(n.name, MetricSample::Kind::kHistogram);
+    s->bucket_bounds = n.instrument->bounds();
+    s->bucket_counts = n.instrument->bucket_counts();
+    s->hist_count = n.instrument->count();
+    s->hist_sum = static_cast<double>(n.instrument->sum());
   }
-}
-
-MetricsShard* MetricsRegistry::GetShard(const std::string& stage, int task) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& shard : shards_) {
-    if (shard.stage() == stage && shard.task() == task) return &shard;
-  }
-  shards_.emplace_back(stage, task);
-  return &shards_.back();
-}
-
-std::vector<MetricSample> MetricsRegistry::Collect() const {
-  std::vector<MetricSample> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& shard : shards_) shard.Collect(&out);
-  return out;
-}
-
-std::uint64_t MetricsRegistry::CounterTotal(const std::string& name) const {
-  std::uint64_t total = 0;
-  for (const MetricSample& s : Collect()) {
-    if (s.kind == MetricSample::Kind::kCounter && s.name == name) {
-      total += static_cast<std::uint64_t>(s.value);
-    }
-  }
-  return total;
 }
 
 }  // namespace spear::obs

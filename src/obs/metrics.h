@@ -13,14 +13,13 @@
 /// histograms, organized into per-worker *shards* so the hot path never
 /// contends on a shared line. Instrument registration (rare: wiring time
 /// or Prepare) takes the shard mutex; updates are single relaxed atomic
-/// RMWs on instrument memory owned by one worker; a scrape walks every
-/// shard under the registration mutex and reads the atomics, merging
-/// per-(name, stage, task) series for export.
+/// RMWs on instrument memory owned by one worker; a scrape reads the
+/// atomics into one sample per (name, stage, task) series.
 ///
-/// This is the *observable* layer (Prometheus/JSON export, periodic
-/// sampling, TraceSpans). The pre-existing `spear::MetricsRegistry` in
-/// runtime/metrics.h stays the end-of-run summary substrate; the two are
-/// reconciled by the metrics-merge invariant test.
+/// A run keeps its shards in one registry, `spear::MetricsRegistry`
+/// (runtime/metrics.h). Each worker's `WorkerMetrics` counts into its
+/// shard, so Prometheus/JSON export, the periodic sampler and RunReport's
+/// fault and overload totals all read the same counters.
 
 namespace spear::obs {
 
@@ -130,24 +129,6 @@ class MetricsShard {
   std::deque<Named<Counter>> counters_;
   std::deque<Named<Gauge>> gauges_;
   std::deque<Named<Histogram>> histograms_;
-};
-
-/// \brief Owns every shard of a run; scrape-side merge point.
-class MetricsRegistry {
- public:
-  /// Creates (or returns the existing) shard for (stage, task). Stable
-  /// pointer for the registry's lifetime.
-  MetricsShard* GetShard(const std::string& stage, int task);
-
-  /// Scrapes every shard: one sample per (name, stage, task) series.
-  std::vector<MetricSample> Collect() const;
-
-  /// Sum of a counter series across all shards (tests, quick checks).
-  std::uint64_t CounterTotal(const std::string& name) const;
-
- private:
-  mutable std::mutex mu_;
-  std::deque<MetricsShard> shards_;
 };
 
 }  // namespace spear::obs

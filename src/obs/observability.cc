@@ -21,7 +21,7 @@ Status ObsConfig::Validate() const {
 }
 
 void PeriodicSampler::Start() {
-  if (registry_ == nullptr || options_.scrape_period_ms <= 0 || !options_.sink) {
+  if (!scrape_ || options_.scrape_period_ms <= 0 || !options_.sink) {
     return;
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -57,8 +57,8 @@ void PeriodicSampler::Stop() {
 }
 
 void PeriodicSampler::ScrapeOnce() {
-  if (registry_ == nullptr || !options_.sink) return;
-  options_.sink(MetricsJsonLines(registry_->Collect()));
+  if (!scrape_ || !options_.sink) return;
+  options_.sink(MetricsJsonLines(scrape_()));
   scrapes_.fetch_add(1, std::memory_order_relaxed);
 }
 

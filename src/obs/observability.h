@@ -17,8 +17,8 @@
 
 /// \file obs/observability.h
 /// Topology-level observability configuration and the end-of-run report.
-/// Off by default: a topology without `.Metrics()` / `.Trace()` pays a
-/// null-pointer check at wiring time and nothing else.
+/// Off by default: without `.Metrics()` / `.Trace()` a run still counts
+/// its RunReport totals, but exports and traces nothing.
 
 namespace spear::obs {
 
@@ -64,14 +64,15 @@ struct ObservabilityReport {
   std::string SpansJsonLines() const { return obs::SpansJsonLines(spans); }
 };
 
-/// \brief Background scrape thread: renders the registry as JSON lines
-/// into `options.sink` every `options.scrape_period_ms`. Start/Stop are
+/// \brief Background scrape thread: renders `scrape()` as JSON lines into
+/// `options.sink` every `options.scrape_period_ms`. Start/Stop are
 /// idempotent; the thread holds no lock while rendering or invoking the
 /// sink.
 class PeriodicSampler {
  public:
-  PeriodicSampler(const MetricsRegistry* registry, MetricsOptions options)
-      : registry_(registry), options_(std::move(options)) {}
+  PeriodicSampler(std::function<std::vector<MetricSample>()> scrape,
+                  MetricsOptions options)
+      : scrape_(std::move(scrape)), options_(std::move(options)) {}
   ~PeriodicSampler() { Stop(); }
 
   PeriodicSampler(const PeriodicSampler&) = delete;
@@ -90,7 +91,7 @@ class PeriodicSampler {
  private:
   void ScrapeOnce();
 
-  const MetricsRegistry* registry_;
+  std::function<std::vector<MetricSample>()> scrape_;
   MetricsOptions options_;
   std::thread thread_;
   std::mutex mu_;

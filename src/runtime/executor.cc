@@ -102,21 +102,19 @@ class Executor::StageEmitter : public Emitter {
  public:
   StageEmitter(int my_task, const Partitioner* next_partitioner,
                std::vector<ElementQueue*> next_queues, std::size_t batch_max,
-               WorkerMetrics* metrics, std::vector<Tuple>* local_output,
-               obs::Counter* obs_backpressure_ns = nullptr)
+               WorkerMetrics* metrics, std::vector<Tuple>* local_output)
       : my_task_(my_task),
         next_partitioner_(next_partitioner),
         next_queues_(std::move(next_queues)),
         batch_max_(std::max<std::size_t>(batch_max, 1)),
         metrics_(metrics),
-        local_output_(local_output),
-        obs_backpressure_ns_(obs_backpressure_ns) {
+        local_output_(local_output) {
     buffers_.resize(next_queues_.size());
     for (auto& buffer : buffers_) buffer.reserve(batch_max_);
   }
 
   void Emit(Tuple tuple) override {
-    if (metrics_ != nullptr) metrics_->AddTuplesOut(1);
+    ++emitted_;
     if (next_queues_.empty()) {
       // Sink stage: collect into the worker's private vector (merged once
       // after join) instead of contending on a shared output lock.
@@ -156,6 +154,10 @@ class Executor::StageEmitter : public Emitter {
 
   bool HasDownstream() const { return !next_queues_.empty(); }
 
+  /// Tuples emitted since the last call: a worker adds them to its
+  /// tuples_out once per popped batch, never per tuple.
+  std::uint64_t TakeEmitted() { return std::exchange(emitted_, 0); }
+
  private:
   void Flush(std::size_t target) {
     std::vector<Element>& buffer = buffers_[target];
@@ -164,9 +166,6 @@ class Executor::StageEmitter : public Emitter {
     next_queues_[target]->PushAll(std::move(buffer), &blocked_ns);
     if (blocked_ns > 0 && metrics_ != nullptr) {
       metrics_->AddBackpressureNs(blocked_ns);
-    }
-    if (blocked_ns > 0 && obs_backpressure_ns_ != nullptr) {
-      obs_backpressure_ns_->Add(static_cast<std::uint64_t>(blocked_ns));
     }
     // The vector's storage was handed to the queue as a whole batch node;
     // start a fresh allocation for the next batch.
@@ -179,9 +178,9 @@ class Executor::StageEmitter : public Emitter {
   const std::size_t batch_max_;
   WorkerMetrics* metrics_;
   std::vector<Tuple>* local_output_;
-  obs::Counter* obs_backpressure_ns_;
   std::vector<std::vector<Element>> buffers_;
   std::uint64_t rr_state_ = 0;
+  std::uint64_t emitted_ = 0;
 };
 
 Result<RunReport> Executor::Run() {
@@ -222,22 +221,14 @@ Result<RunReport> Executor::Run() {
     }
   }
   // --- Observability wiring ----------------------------------------------
-  // Null unless `.Metrics()` / `.Trace()` were requested: an unobserved
-  // topology pays pointer checks at wiring time and nothing on the hot
-  // path. Shards/tracers are created here (single-threaded) so workers
-  // never contend on registration.
+  // report.metrics is the run's one registry: every worker, the source
+  // included, counts into its shard. `.Metrics()` decides only what is
+  // exported and whether per-tuple instruments (ctx.obs) are resolved.
+  // Shards and tracers are created here (single-threaded).
   const obs::ObsConfig& obs_cfg = topology_.obs;
-  std::unique_ptr<obs::MetricsRegistry> obs_registry;
-  if (obs_cfg.metrics_enabled) {
-    obs_registry = std::make_unique<obs::MetricsRegistry>();
-  }
   std::vector<std::unique_ptr<obs::WindowTracer>> tracers;
-  obs::PeriodicSampler sampler(obs_registry.get(), obs_cfg.metrics);
-
-  // The source's emitter is not a registered worker (the registry's size
-  // is observable by callers); its back-pressure counters are folded into
-  // report.overload after the join.
-  WorkerMetrics source_metrics("source", 0);
+  obs::PeriodicSampler sampler([&report] { return report.metrics.Collect(); },
+                               obs_cfg.metrics);
   // Source-side signals read by workers (watermark lag) and the watchdog
   // (stall detection).
   std::atomic<Timestamp> source_wm{kMinTimestamp};
@@ -330,8 +321,7 @@ Result<RunReport> Executor::Run() {
     for (int task = 0; task < stage.parallelism; ++task) {
       WorkerMetrics* metrics = report.metrics.Register(stage.name, task);
       obs::MetricsShard* obs_shard =
-          obs_registry != nullptr ? obs_registry->GetShard(stage.name, task)
-                                  : nullptr;
+          obs_cfg.metrics_enabled ? metrics->shard() : nullptr;
       obs::WindowTracer* tracer = nullptr;
       if (obs_cfg.trace_enabled) {
         tracers.push_back(std::make_unique<obs::WindowTracer>(obs_cfg.trace));
@@ -351,22 +341,10 @@ Result<RunReport> Executor::Run() {
                             sink_output, dead_letters, obs_shard, tracer,
                             next_queues = std::move(next_queues)]() mutable {
         const StageSpec& my_stage = topology_.stages[i];
-        // Resolve this worker's instruments once; updates are lock-free.
-        obs::Counter* obs_backpressure = nullptr;
-        obs::Counter* obs_tuples_in = nullptr;
-        obs::Counter* obs_batches = nullptr;
-        obs::Counter* obs_snapshots = nullptr;
-        obs::Counter* obs_snapshot_bytes = nullptr;
-        obs::Counter* obs_restores = nullptr;
+        // Resolve this worker's export-only gauges once.
         obs::Gauge* obs_queue_depth = nullptr;
         obs::Gauge* obs_shed_probability = nullptr;
         if (obs_shard != nullptr) {
-          obs_backpressure = obs_shard->GetCounter("backpressure_wait_ns");
-          obs_tuples_in = obs_shard->GetCounter("tuples_in");
-          obs_batches = obs_shard->GetCounter("batches_popped");
-          obs_snapshots = obs_shard->GetCounter("checkpoint_snapshots");
-          obs_snapshot_bytes = obs_shard->GetCounter("checkpoint_bytes");
-          obs_restores = obs_shard->GetCounter("checkpoint_restores");
           obs_queue_depth = obs_shard->GetGauge("queue_depth");
           obs_shard->GetGauge("queue_capacity")
               ->Set(static_cast<double>(in_queue->capacity()));
@@ -375,8 +353,7 @@ Result<RunReport> Executor::Run() {
           }
         }
         StageEmitter emitter(task, next_partitioner, std::move(next_queues),
-                             batch_max, metrics, sink_output,
-                             obs_backpressure);
+                             batch_max, metrics, sink_output);
 
         std::unique_ptr<Bolt> bolt = my_stage.bolt_factory(task);
         if (bolt == nullptr) {
@@ -447,7 +424,6 @@ Result<RunReport> Executor::Run() {
           }
           ++restarts;
           metrics->AddWorkerRestarts(1);
-          if (obs_restores != nullptr) obs_restores->Increment();
           bolt = my_stage.bolt_factory(task);
           if (bolt == nullptr) {
             return Status::Internal("stage '" + my_stage.name +
@@ -555,8 +531,8 @@ Result<RunReport> Executor::Run() {
           }
 
           // Drain the popped batch locally; metrics updates are batched —
-          // one timer read pair and one AddTuplesIn/AddBusyNs per popped
-          // batch instead of per tuple.
+          // one timer read pair and one add per counter per popped batch
+          // instead of per tuple.
           std::uint64_t batch_tuples = 0;
           std::int64_t batch_busy = 0;
           Status status = Status::OK();
@@ -698,11 +674,8 @@ Result<RunReport> Executor::Run() {
                             last_snapshot_wm = local_wm;
                             replay_log.SnapshotAt(k);
                             metrics->AddSnapshots(1);
-                            if (obs_snapshots != nullptr) {
-                              obs_snapshots->Increment();
-                              obs_snapshot_bytes->Add(
-                                  snapshot.payload.size());
-                            }
+                            metrics->AddSnapshotBytes(
+                                snapshot.payload.size());
                           }
                           // A failed Put leaves the previous snapshot
                           // (and the longer replay log) in charge — the
@@ -759,11 +732,9 @@ Result<RunReport> Executor::Run() {
           }
 
           metrics->AddTuplesIn(batch_tuples);
+          metrics->AddTuplesOut(emitter.TakeEmitted());
           metrics->AddBusyNs(batch_busy);
-          if (obs_tuples_in != nullptr) {
-            obs_tuples_in->Add(batch_tuples);
-            obs_batches->Increment();
-          }
+          metrics->AddBatchesPopped(1);
           if (!status.ok()) {
             record_error(status);
             return;
@@ -776,21 +747,17 @@ Result<RunReport> Executor::Run() {
   }
 
   // --- Source thread ------------------------------------------------------
-  obs::MetricsShard* source_shard =
-      obs_registry != nullptr ? obs_registry->GetShard("source", 0) : nullptr;
-  threads.emplace_back([&, source_shard]() {
+  WorkerMetrics* source_metrics = report.metrics.Register("source", 0);
+  threads.emplace_back([&, source_metrics]() {
     obs::Counter* obs_emitted = nullptr;
-    obs::Counter* obs_source_backpressure = nullptr;
     obs::Gauge* obs_watermark = nullptr;
-    if (source_shard != nullptr) {
-      obs_emitted = source_shard->GetCounter("tuples_emitted");
-      obs_source_backpressure =
-          source_shard->GetCounter("backpressure_wait_ns");
-      obs_watermark = source_shard->GetGauge("watermark_ms");
+    if (obs_cfg.metrics_enabled) {
+      obs_emitted = source_metrics->shard()->GetCounter("tuples_emitted");
+      obs_watermark = source_metrics->shard()->GetGauge("watermark_ms");
     }
     StageEmitter emitter(0, &topology_.stages[0].input_partitioner,
-                         queues_of_stage(0), batch_max, &source_metrics,
-                         nullptr, obs_source_backpressure);
+                         queues_of_stage(0), batch_max, source_metrics,
+                         nullptr);
     ReplayableSpout* const replay_source =
         topology_.source.spout->replayable();
     // With interval <= 0 the generator is never consulted: only the final
@@ -901,7 +868,7 @@ Result<RunReport> Executor::Run() {
     });
   }
 
-  sampler.Start();
+  if (obs_cfg.metrics_enabled) sampler.Start();
 
   for (std::thread& t : threads) t.join();
   watchdog_stop.store(true, std::memory_order_release);
@@ -930,30 +897,27 @@ Result<RunReport> Executor::Run() {
   for (auto& part : sink_outputs) {
     std::move(part.begin(), part.end(), std::back_inserter(report.output));
   }
-  // Merge the dead letters in (stage, task) order, and settle the fault
-  // counters: worker metrics cover retries/recoveries/quarantines/
-  // degradations, the injector knows what it fired.
+  // Merge the dead letters in (stage, task) order.
   for (auto& part : worker_dead_letters) {
     std::move(part.begin(), part.end(),
               std::back_inserter(report.dead_letters));
   }
-  report.faults = report.metrics.FaultTotals();
+  report.dead_letters_dropped =
+      dropped_dead_letters.load(std::memory_order_relaxed);
+  // One final scrape gives the fault and overload totals and, under
+  // `.Metrics()`, the export; the injector and the watchdog add theirs.
+  std::vector<obs::MetricSample> scrape = report.metrics.Collect();
+  SumCountedSeries(scrape, &report.faults, &report.overload);
   if (topology_.fault_injector != nullptr) {
     report.faults.injected = topology_.fault_injector->total_fired();
   }
   report.recoveries = report.faults.worker_restarts;
-  report.dead_letters_dropped =
-      dropped_dead_letters.load(std::memory_order_relaxed);
-  report.overload = report.metrics.OverloadTotals();
-  report.overload.Accumulate(source_metrics.overload());
-  report.overload.watchdog_advances +=
+  report.overload.watchdog_advances =
       watchdog_advances.load(std::memory_order_relaxed);
-  // Final observability scrape into the report: every metric series and
-  // every retained trace span, merged across worker shards.
   report.observability.metrics_enabled = obs_cfg.metrics_enabled;
   report.observability.trace_enabled = obs_cfg.trace_enabled;
-  if (obs_registry != nullptr) {
-    report.observability.metrics = obs_registry->Collect();
+  if (obs_cfg.metrics_enabled) {
+    report.observability.metrics = std::move(scrape);
     report.observability.scrapes = sampler.scrapes();
   }
   for (const auto& tracer : tracers) {

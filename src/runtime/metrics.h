@@ -1,18 +1,22 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/result.h"
+#include "obs/metrics.h"
 
 /// \file metrics.h
 /// Runtime telemetry, modeled on Storm's metrics API (which the paper uses
 /// to measure per-window processing time). Each worker thread owns a
-/// WorkerMetrics it writes without synchronization; the registry snapshots
-/// them after execution.
+/// WorkerMetrics counting into its obs::MetricsShard: one counter per
+/// event, which export, the periodic sampler and RunReport's fault and
+/// overload totals all read through the run's MetricsRegistry.
 
 namespace spear {
 
@@ -29,8 +33,8 @@ struct MetricSummary {
   static MetricSummary FromSamples(std::vector<std::int64_t> samples);
 };
 
-/// \brief Fault-handling counters of one run (or one worker), aggregated
-/// into RunReport::faults by the executor.
+/// \brief Fault-handling counters of one run (or one worker). Every field
+/// but `injected` is a worker series (WorkerMetrics::ForEachCountedField).
 struct FaultStats {
   /// Faults fired by the run's FaultInjector (0 without one).
   std::uint64_t injected = 0;
@@ -49,21 +53,10 @@ struct FaultStats {
   /// Spill attempts that exhausted their storage retries (the window is
   /// later emitted degraded or exact-from-partial-state).
   std::uint64_t spill_failures = 0;
-
-  void Accumulate(const FaultStats& other) {
-    injected += other.injected;
-    retries += other.retries;
-    recovered += other.recovered;
-    quarantined += other.quarantined;
-    degraded_windows += other.degraded_windows;
-    worker_restarts += other.worker_restarts;
-    snapshots += other.snapshots;
-    spill_failures += other.spill_failures;
-  }
 };
 
-/// \brief Overload-control counters of one run (or one worker),
-/// aggregated into RunReport::overload by the executor.
+/// \brief Overload-control counters of one run (or one worker). Every
+/// field but `watchdog_advances` is a worker series (as FaultStats).
 struct OverloadStats {
   /// Tuples dropped at stage admission by accuracy-aware load shedding.
   std::uint64_t tuples_shed = 0;
@@ -75,54 +68,92 @@ struct OverloadStats {
   std::uint64_t watchdog_advances = 0;
   /// Time producers spent blocked on full inter-stage queues.
   std::int64_t backpressure_wait_ns = 0;
-
-  void Accumulate(const OverloadStats& other) {
-    tuples_shed += other.tuples_shed;
-    windows_shed_loss += other.windows_shed_loss;
-    deadline_aborts += other.deadline_aborts;
-    watchdog_advances += other.watchdog_advances;
-    backpressure_wait_ns += other.backpressure_wait_ns;
-  }
 };
 
-/// \brief One worker thread's counters. Written by exactly one thread.
+/// \brief One worker thread's counters: a typed view over its shard.
+/// Written by exactly one thread; each adder is one relaxed atomic add,
+/// so callers batch (per popped batch, per window) rather than count per
+/// tuple.
 class WorkerMetrics {
  public:
-  WorkerMetrics(std::string stage, int task_id)
-      : stage_(std::move(stage)), task_id_(task_id) {}
+  /// The counted events, each one shard series (kSeries).
+  enum Event : std::size_t {
+    kTuplesIn, kTuplesOut, kBusyNs, kBatchesPopped, kRetries, kRecovered,
+    kQuarantined, kDegradedWindows, kWorkerRestarts, kSnapshots,
+    kSnapshotBytes, kSpillFailures, kTuplesShed, kWindowsShedLoss,
+    kDeadlineAborts, kBackpressureNs, kNumEvents
+  };
+  static constexpr std::array<const char*, kNumEvents> kSeries = {
+      "tuples_in",           "tuples_out",           "busy_ns",
+      "batches_popped",      "retries",              "recovered",
+      "quarantined",         "windows_degraded",     "checkpoint_restores",
+      "checkpoint_snapshots", "checkpoint_bytes",    "spill_failures",
+      "tuples_shed",         "windows_shed_loss",    "deadline_aborts",
+      "backpressure_wait_ns"};
 
-  void RecordWindowNs(std::int64_t ns) { window_ns_.push_back(ns); }
+  /// The one field-to-series table: calls `fn(event, field)` for every
+  /// FaultStats and OverloadStats field a worker counts.
+  template <typename Fn>
+  static void ForEachCountedField(FaultStats& faults, OverloadStats& overload,
+                                  Fn&& fn) {
+    fn(kRetries, faults.retries);
+    fn(kRecovered, faults.recovered);
+    fn(kQuarantined, faults.quarantined);
+    fn(kDegradedWindows, faults.degraded_windows);
+    fn(kWorkerRestarts, faults.worker_restarts);
+    fn(kSnapshots, faults.snapshots);
+    fn(kSpillFailures, faults.spill_failures);
+    fn(kTuplesShed, overload.tuples_shed);
+    fn(kWindowsShedLoss, overload.windows_shed_loss);
+    fn(kDeadlineAborts, overload.deadline_aborts);
+    fn(kBackpressureNs, overload.backpressure_wait_ns);
+  }
+
+  /// Counts into a private shard (a bolt driven outside an executor).
+  WorkerMetrics(std::string stage, int task_id);
+  /// Counts into `shard`, owned by a MetricsRegistry.
+  explicit WorkerMetrics(obs::MetricsShard* shard);
+
+  /// One closed window's processing time: a window_ns() sample and a
+  /// `window_processing_ns` observation.
+  void RecordWindowNs(std::int64_t ns) {
+    window_ns_.push_back(ns);
+    window_hist_->Observe(ns);
+  }
   void RecordMemoryBytes(std::size_t bytes) {
     memory_bytes_.push_back(static_cast<std::int64_t>(bytes));
   }
-  void AddTuplesIn(std::uint64_t n) { tuples_in_ += n; }
-  void AddTuplesOut(std::uint64_t n) { tuples_out_ += n; }
-  void AddBusyNs(std::int64_t ns) { busy_ns_ += ns; }
-  void AddRetries(std::uint64_t n) { faults_.retries += n; }
-  void AddRecovered(std::uint64_t n) { faults_.recovered += n; }
-  void AddQuarantined(std::uint64_t n) { faults_.quarantined += n; }
-  void AddDegradedWindows(std::uint64_t n) { faults_.degraded_windows += n; }
-  void AddWorkerRestarts(std::uint64_t n) { faults_.worker_restarts += n; }
-  void AddSnapshots(std::uint64_t n) { faults_.snapshots += n; }
-  void AddSpillFailures(std::uint64_t n) { faults_.spill_failures += n; }
-  void AddTuplesShed(std::uint64_t n) { overload_.tuples_shed += n; }
-  void AddWindowsShedLoss(std::uint64_t n) { overload_.windows_shed_loss += n; }
-  void AddDeadlineAborts(std::uint64_t n) { overload_.deadline_aborts += n; }
-  void AddBackpressureNs(std::int64_t ns) {
-    overload_.backpressure_wait_ns += ns;
-  }
+  void AddTuplesIn(std::uint64_t n) { Add(kTuplesIn, n); }
+  void AddTuplesOut(std::uint64_t n) { Add(kTuplesOut, n); }
+  void AddBusyNs(std::int64_t ns) { Add(kBusyNs, ns); }
+  void AddBatchesPopped(std::uint64_t n) { Add(kBatchesPopped, n); }
+  void AddRetries(std::uint64_t n) { Add(kRetries, n); }
+  void AddRecovered(std::uint64_t n) { Add(kRecovered, n); }
+  void AddQuarantined(std::uint64_t n) { Add(kQuarantined, n); }
+  void AddDegradedWindows(std::uint64_t n) { Add(kDegradedWindows, n); }
+  void AddWorkerRestarts(std::uint64_t n) { Add(kWorkerRestarts, n); }
+  void AddSnapshots(std::uint64_t n) { Add(kSnapshots, n); }
+  void AddSnapshotBytes(std::uint64_t n) { Add(kSnapshotBytes, n); }
+  void AddSpillFailures(std::uint64_t n) { Add(kSpillFailures, n); }
+  void AddTuplesShed(std::uint64_t n) { Add(kTuplesShed, n); }
+  void AddWindowsShedLoss(std::uint64_t n) { Add(kWindowsShedLoss, n); }
+  void AddDeadlineAborts(std::uint64_t n) { Add(kDeadlineAborts, n); }
+  void AddBackpressureNs(std::int64_t ns) { Add(kBackpressureNs, ns); }
 
-  const std::string& stage() const { return stage_; }
-  int task_id() const { return task_id_; }
-  std::uint64_t tuples_in() const { return tuples_in_; }
-  std::uint64_t tuples_out() const { return tuples_out_; }
-  std::int64_t busy_ns() const { return busy_ns_; }
-  const FaultStats& faults() const { return faults_; }
-  const OverloadStats& overload() const { return overload_; }
-  const std::vector<std::int64_t>& window_ns() const { return window_ns_; }
-  const std::vector<std::int64_t>& memory_bytes() const {
-    return memory_bytes_;
+  const std::string& stage() const { return shard_->stage(); }
+  int task_id() const { return shard_->task(); }
+  /// The shard every counter above lives in.
+  obs::MetricsShard* shard() const { return shard_; }
+  std::uint64_t tuples_in() const { return counters_[kTuplesIn]->value(); }
+  std::uint64_t tuples_out() const { return counters_[kTuplesOut]->value(); }
+  std::int64_t busy_ns() const {
+    return static_cast<std::int64_t>(counters_[kBusyNs]->value());
   }
+  /// Read from the shard's counters (injected stays 0).
+  FaultStats faults() const { return Totals().first; }
+  /// Read from the shard's counters (watchdog_advances stays 0).
+  OverloadStats overload() const { return Totals().second; }
+  const std::vector<std::int64_t>& window_ns() const { return window_ns_; }
 
   MetricSummary WindowSummary() const {
     return MetricSummary::FromSamples(window_ns_);
@@ -132,35 +163,46 @@ class WorkerMetrics {
   }
 
  private:
-  const std::string stage_;
-  const int task_id_;
-  std::uint64_t tuples_in_ = 0;
-  std::uint64_t tuples_out_ = 0;
-  std::int64_t busy_ns_ = 0;
-  FaultStats faults_;
-  OverloadStats overload_;
+  void Wire(obs::MetricsShard* shard);
+  std::pair<FaultStats, OverloadStats> Totals() const;
+  // Durations arrive as non-negative int64 nanoseconds.
+  void Add(Event event, std::uint64_t n) { counters_[event]->Add(n); }
+
+  std::unique_ptr<obs::MetricsShard> owned_shard_;  // null in a registry
+  obs::MetricsShard* shard_ = nullptr;
+  std::array<obs::Counter*, kNumEvents> counters_{};
+  obs::Histogram* window_hist_ = nullptr;
   std::vector<std::int64_t> window_ns_;
   std::vector<std::int64_t> memory_bytes_;
 };
 
-/// \brief Owns every worker's metrics for one topology run.
+/// Adds every counted series of `scrape`, summed over its shards, to the
+/// matching FaultStats / OverloadStats field.
+void SumCountedSeries(const std::vector<obs::MetricSample>& scrape,
+                      FaultStats* faults, OverloadStats* overload);
+
+/// \brief A run's one metrics registry: every worker's shard, keyed by
+/// (stage, task), and the WorkerMetrics counting into them. Shard
+/// creation and Collect() serialize on a mutex; instrument updates never
+/// take it. Workers are registered at wiring time only.
 class MetricsRegistry {
  public:
-  /// Creates (and owns) metrics for one worker. Called at wiring time,
-  /// before threads start — no synchronization needed afterwards.
-  WorkerMetrics* Register(const std::string& stage, int task_id) {
-    workers_.push_back(std::make_unique<WorkerMetrics>(stage, task_id));
-    return workers_.back().get();
-  }
+  /// Creates (or returns the existing) shard for (stage, task). Stable
+  /// pointer for the registry's lifetime.
+  obs::MetricsShard* GetShard(const std::string& stage, int task);
 
-  /// All workers of a stage.
-  std::vector<const WorkerMetrics*> ForStage(const std::string& stage) const {
-    std::vector<const WorkerMetrics*> out;
-    for (const auto& w : workers_) {
-      if (w->stage() == stage) out.push_back(w.get());
-    }
-    return out;
-  }
+  /// Creates (and owns) the metrics of one worker, over its shard. Called
+  /// at wiring time, before the worker's thread starts.
+  WorkerMetrics* Register(const std::string& stage, int task_id);
+
+  /// Scrapes every shard: one sample per (name, stage, task) series.
+  std::vector<obs::MetricSample> Collect() const;
+
+  /// Sum of a counter series across all shards (tests, quick checks).
+  std::uint64_t CounterTotal(const std::string& name) const;
+
+  /// All registered workers of a stage.
+  std::vector<const WorkerMetrics*> ForStage(const std::string& stage) const;
 
   /// Pooled per-window processing times across a stage's workers.
   MetricSummary StageWindowSummary(const std::string& stage) const;
@@ -169,27 +211,11 @@ class MetricsRegistry {
   /// "mean memory usage per worker" of Fig. 7.
   double StageMeanMemoryPerWorker(const std::string& stage) const;
 
-  /// Fault counters summed across every worker (injected stays 0 here;
-  /// the executor fills it from the topology's FaultInjector).
-  FaultStats FaultTotals() const {
-    FaultStats total;
-    for (const auto& w : workers_) total.Accumulate(w->faults());
-    return total;
-  }
-
-  /// Overload-control counters summed across every worker
-  /// (watchdog_advances stays 0 here; the executor adds its own).
-  OverloadStats OverloadTotals() const {
-    OverloadStats total;
-    for (const auto& w : workers_) total.Accumulate(w->overload());
-    return total;
-  }
-
-  const std::vector<std::unique_ptr<WorkerMetrics>>& workers() const {
-    return workers_;
-  }
-
  private:
+  // Heap-held so the registry moves (with RunReport) and every shard and
+  // worker keeps its address; a moved-from registry is not used again.
+  std::unique_ptr<std::mutex> mu_ = std::make_unique<std::mutex>();
+  std::deque<obs::MetricsShard> shards_;
   std::vector<std::unique_ptr<WorkerMetrics>> workers_;
 };
 

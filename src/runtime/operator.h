@@ -44,9 +44,9 @@ struct BoltContext {
   /// configured. Admission-shedding bolts read shed_probability() per
   /// tuple and report window latencies back.
   OverloadDetector* overload = nullptr;
-  /// This worker's observability shard, or null unless the topology was
-  /// built with `.Metrics()`. Bolts resolve instruments once at Prepare
-  /// and update them lock-free afterwards.
+  /// `metrics`' shard, or null unless the topology was built with
+  /// `.Metrics()`. Bolts resolve export-only instruments from it once at
+  /// Prepare and update them lock-free afterwards.
   obs::MetricsShard* obs = nullptr;
   /// This worker's window-trace sink, or null unless built with
   /// `.Trace()`. SPEAr bolts record one TraceSpan per closed window.

@@ -189,10 +189,10 @@ class TopologyBuilder {
     return *this;
   }
 
-  /// Enables the exported-metrics layer (obs::MetricsRegistry shards per
-  /// worker, queue/backpressure gauges, checkpoint counters, and the
-  /// final scrape in RunReport::observability). `options` may add a
-  /// periodic sampler thread (scrape_period_ms + sink).
+  /// Enables the exported-metrics layer: the final scrape in
+  /// RunReport::observability, plus the per-tuple, queue and checkpoint
+  /// instruments only export needs. `options` may add a periodic sampler
+  /// thread (scrape_period_ms + sink).
   TopologyBuilder& Metrics(obs::MetricsOptions options = {}) {
     topology_.obs.metrics_enabled = true;
     topology_.obs.metrics = std::move(options);

@@ -45,7 +45,6 @@ Status WindowJoinBolt::ProcessWatermark(std::int64_t watermark,
                          manager_->OnWatermark(watermark));
   for (const CompleteWindow& window : staged) {
     std::int64_t join_ns = 0;
-    std::uint64_t emitted = 0;
     {
       ScopedTimerNs timer(&join_ns);
       // Build on the left side, probe with the right.
@@ -75,15 +74,11 @@ Status WindowJoinBolt::ProcessWatermark(std::int64_t watermark,
               fields.push_back(t.field(i));
             }
             out->Emit(Tuple(window.bounds.end, std::move(fields)));
-            ++emitted;
           }
         }
       }
     }
-    if (metrics_ != nullptr) {
-      metrics_->RecordWindowNs(join_ns);
-      metrics_->AddTuplesOut(emitted);
-    }
+    if (metrics_ != nullptr) metrics_->RecordWindowNs(join_ns);
   }
   return Status::OK();
 }

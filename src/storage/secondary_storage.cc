@@ -41,28 +41,6 @@ Status SecondaryStorage::Store(const std::string& key, Tuple tuple) {
   return Status::OK();
 }
 
-Status SecondaryStorage::StoreBatch(const std::string& key,
-                                    std::vector<Tuple> tuples) {
-  std::int64_t extra_ns = 0;
-  if (injector_ != nullptr) {
-    const FaultInjector::Decision d =
-        injector_->Tick(FaultSite::kStorageStore);
-    extra_ns = d.extra_latency_ns;
-    if (d.fire) {
-      SimulateLatency(0, extra_ns);
-      return Status::Unavailable("injected fault: store-batch('" + key +
-                                 "')");
-    }
-  }
-  SimulateLatency(tuples.size(), extra_ns);
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++store_calls_;
-  auto& run = runs_[key];
-  run.insert(run.end(), std::make_move_iterator(tuples.begin()),
-             std::make_move_iterator(tuples.end()));
-  return Status::OK();
-}
-
 Result<std::vector<Tuple>> SecondaryStorage::Get(const std::string& key) const {
   std::int64_t extra_ns = 0;
   if (injector_ != nullptr) {

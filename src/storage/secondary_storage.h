@@ -33,11 +33,6 @@ struct StorageLatencyModel {
 
   /// No simulated delay — pure functional behaviour (default for tests).
   static StorageLatencyModel None() { return {}; }
-
-  /// A deliberately coarse "remote object store" setting used by benches.
-  static StorageLatencyModel RemoteObjectStore() {
-    return StorageLatencyModel{200'000, 50};
-  }
 };
 
 /// \brief Thread-safe keyed spill store: (stream, partition) keys map to
@@ -51,10 +46,6 @@ class SecondaryStorage {
   /// Appends one tuple under `key` (the paper's store(tau)).
   /// Unavailable when a fault is injected (the tuple is NOT stored).
   Status Store(const std::string& key, Tuple tuple);
-
-  /// Appends a batch under `key`. Unavailable when a fault is injected
-  /// (the whole batch is NOT stored — the call fails atomically).
-  Status StoreBatch(const std::string& key, std::vector<Tuple> tuples);
 
   /// Retrieves every tuple stored under `key` (the paper's get(tau_w)).
   /// NotFound when nothing was ever spilled under the key; Unavailable

@@ -684,8 +684,8 @@ using Verdict = obs::TraceSpan::Verdict;
 
 /// A manager wired to every consumer of its window outcomes.
 struct Probe {
-  WorkerMetrics metrics{"stateful", 0};
-  obs::MetricsRegistry registry;
+  MetricsRegistry registry;
+  WorkerMetrics* metrics = registry.Register("stateful", 0);
   obs::WindowTracer tracer{obs::TraceOptions{}};
   std::unique_ptr<FaultInjector> injector;
   std::unique_ptr<SecondaryStorage> storage;  ///< the spill target, if any
@@ -693,9 +693,8 @@ struct Probe {
 
   SpearWindowManager& Wire(std::unique_ptr<SpearWindowManager> manager) {
     mgr = std::move(manager);
-    mgr->SetMetrics(&metrics);
-    mgr->SetObservability(registry.GetShard("stateful", 0), &tracer,
-                          "stateful", 0);
+    mgr->SetMetrics(metrics);
+    mgr->SetObservability(metrics->shard(), &tracer, "stateful", 0);
     return *mgr;
   }
 };
@@ -957,7 +956,8 @@ TEST(SpearManagerVerdictTest, EveryConsumerRecordsTheSameVerdictAndFlags) {
     EXPECT_EQ(d.deadline_aborts, One(want.deadline_abort));
     EXPECT_EQ(d.tuples_processed, r.tuples_processed);
 
-    const obs::MetricsRegistry& reg = c.probe->registry;
+    // One shard holds every counter: WorkerMetrics' and the manager's.
+    const MetricsRegistry& reg = c.probe->registry;
     EXPECT_EQ(reg.CounterTotal("windows_expedited"),
               One(want.verdict == Verdict::kExpedited));
     EXPECT_EQ(reg.CounterTotal("windows_exact"),
@@ -972,7 +972,7 @@ TEST(SpearManagerVerdictTest, EveryConsumerRecordsTheSameVerdictAndFlags) {
                   ->count(),
               1u);
 
-    const WorkerMetrics& m = c.probe->metrics;
+    const WorkerMetrics& m = *c.probe->metrics;
     EXPECT_EQ(m.faults().degraded_windows, One(degraded));
     EXPECT_EQ(m.overload().windows_shed_loss, One(want.shed));
     EXPECT_EQ(m.overload().deadline_aborts, One(want.deadline_abort));

@@ -220,6 +220,9 @@ TEST(RecoveryTest, CatchUpChaosRecordsEachDeliveredWindowOnce) {
     counted += CounterSum(observed.metrics, verdict);
   }
   EXPECT_EQ(counted, windows);
+  // Replayed tuples were counted on first delivery: ingest counts every
+  // input tuple once.
+  EXPECT_EQ(CounterSum(observed.metrics, "tuples_seen"), 4000u);
 }
 
 // The load-bearing negative: the same crash plan without checkpointing
@@ -319,6 +322,32 @@ TEST(RecoveryTest, BuilderRejectsUncheckpointablePlans) {
       .Mean(NumericField(0))
       .Checkpoint(ckpt);
   EXPECT_FALSE(unreplayable.Build().ok());
+}
+
+// A grouped holistic aggregate over unknown groups cannot be checkpointed:
+// a snapshot holds only the budget state, and a restored window of such a
+// query has neither an exact answer nor a degraded estimate, so it would
+// restore again and again. Without .Checkpoint() the same query builds.
+TEST(RecoveryTest, BuilderRejectsCheckpointedGroupedHolisticUnknownGroups) {
+  auto grouped_median = [](SpearTopologyBuilder& builder) {
+    builder.Source(std::make_shared<VectorSpout>(RecoveryStream(100)), 50)
+        .TumblingWindowOf(100)
+        .Median(NumericField(0))
+        .GroupBy(KeyField(0));
+  };
+  SpearTopologyBuilder checkpointed;
+  grouped_median(checkpointed);
+  checkpointed.Checkpoint(CheckpointConfig{});
+  EXPECT_TRUE(checkpointed.Build().status().IsInvalid());
+
+  SpearTopologyBuilder known_groups;
+  grouped_median(known_groups);
+  known_groups.KnownGroups(4).Checkpoint(CheckpointConfig{});
+  EXPECT_TRUE(known_groups.Build().ok());
+
+  SpearTopologyBuilder plain;
+  grouped_median(plain);
+  EXPECT_TRUE(plain.Build().ok());
 }
 
 // Satellite: the dead-letter channel is bounded. A run with more poison

@@ -12,6 +12,7 @@
 #include "obs/export.h"
 #include "obs/observability.h"
 #include "obs/trace.h"
+#include "runtime/metrics.h"
 
 namespace spear::obs {
 namespace {
@@ -329,9 +330,12 @@ TEST(ObsConfigTest, ValidatesSamplerAndTraceKnobs) {
   EXPECT_FALSE(bad_trace.Validate().ok());
 }
 
+// The sampler scrapes the run's registry while its workers count into
+// their shards (a race detector's target: run under TSan).
 TEST(ObsSamplerTest, PeriodicSamplerScrapesAndStops) {
   MetricsRegistry registry;
   registry.GetShard("s", 0)->GetCounter("n")->Add(9);
+  WorkerMetrics* worker = registry.Register("w", 0);
 
   std::mutex mu;
   std::vector<std::string> scrapes;
@@ -341,10 +345,21 @@ TEST(ObsSamplerTest, PeriodicSamplerScrapesAndStops) {
     std::lock_guard<std::mutex> lock(mu);
     scrapes.push_back(text);
   };
-  PeriodicSampler sampler(&registry, options);
+  PeriodicSampler sampler([&registry] { return registry.Collect(); },
+                          options);
   sampler.Start();
+  std::thread writer([worker] {
+    for (int i = 0; i < 2000; ++i) {
+      worker->AddTuplesIn(1);
+      worker->AddBackpressureNs(3);
+      worker->RecordWindowNs(i);
+    }
+  });
+  writer.join();
   sampler.Stop();  // performs one final scrape even if the period never hit
   EXPECT_GE(sampler.scrapes(), 1u);
+  EXPECT_EQ(worker->tuples_in(), 2000u);
+  EXPECT_EQ(worker->overload().backpressure_wait_ns, 6000);
   std::lock_guard<std::mutex> lock(mu);
   ASSERT_FALSE(scrapes.empty());
   EXPECT_NE(scrapes.back().find("\"name\":\"n\""), std::string::npos);
@@ -352,7 +367,8 @@ TEST(ObsSamplerTest, PeriodicSamplerScrapesAndStops) {
 
 TEST(ObsSamplerTest, DisabledSamplerIsANoOp) {
   MetricsRegistry registry;
-  PeriodicSampler sampler(&registry, MetricsOptions{});
+  PeriodicSampler sampler([&registry] { return registry.Collect(); },
+                          MetricsOptions{});
   sampler.Start();
   sampler.Stop();
   EXPECT_EQ(sampler.scrapes(), 0u);

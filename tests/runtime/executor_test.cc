@@ -68,6 +68,15 @@ TEST(ExecutorTest, MultiStagePipeline) {
   for (const Tuple& t : report->output) total += t.field(0).AsDouble();
   // sum(2i + 1) for i in 0..49 = 2*1225 + 50.
   EXPECT_DOUBLE_EQ(total, 2500.0);
+  // Each stage counts every tuple it emits exactly once, whether it hands
+  // them to a downstream queue or collects them as the sink.
+  for (const char* stage : {"double", "add-one"}) {
+    std::uint64_t out = 0;
+    for (const auto* m : report->metrics.ForStage(stage)) {
+      out += m->tuples_out();
+    }
+    EXPECT_EQ(out, 50u) << stage;
+  }
 }
 
 TEST(ExecutorTest, ParallelismPartitionsWork) {
@@ -79,9 +88,10 @@ TEST(ExecutorTest, ParallelismPartitionsWork) {
   auto report = Executor(std::move(*builder.Build())).Run();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->output.size(), 1000u);
-  // Every worker should have processed ~250 tuples.
+  // Every worker should have processed ~250 tuples, and emitted them.
   for (const auto* m : report->metrics.ForStage("work")) {
     EXPECT_EQ(m->tuples_in(), 250u);
+    EXPECT_EQ(m->tuples_out(), 250u);
   }
 }
 

@@ -44,17 +44,10 @@ TEST(SecondaryStorageTest, EraseRemovesRun) {
   EXPECT_TRUE(s.Get("a").status().IsNotFound());
 }
 
-TEST(SecondaryStorageTest, StoreBatchAppends) {
-  SecondaryStorage s;
-  s.Store("a", T(1, 1.0));
-  s.StoreBatch("a", {T(2, 2.0), T(3, 3.0)});
-  EXPECT_EQ(s.CountFor("a"), 3u);
-}
-
 TEST(SecondaryStorageTest, CallCounters) {
   SecondaryStorage s;
   s.Store("a", T(1, 1.0));
-  s.StoreBatch("a", {T(2, 2.0)});
+  s.Store("a", T(2, 2.0));
   (void)s.Get("a");
   (void)s.Get("missing");
   EXPECT_EQ(s.store_calls(), 2u);
@@ -71,10 +64,9 @@ TEST(SecondaryStorageTest, LatencyModelCostsTime) {
 
 TEST(SecondaryStorageTest, PerTupleLatencyScalesWithBatch) {
   SecondaryStorage slow(StorageLatencyModel{0, 10'000});  // 10 us per tuple
-  std::vector<Tuple> batch;
-  for (int i = 0; i < 100; ++i) batch.push_back(T(i, 0.0));
+  for (int i = 0; i < 100; ++i) slow.Store("a", T(i, 0.0));
   const std::int64_t start = NowNs();
-  slow.StoreBatch("a", std::move(batch));
+  ASSERT_TRUE(slow.Get("a").ok());  // one call fetching a 100-tuple run
   EXPECT_GE(NowNs() - start, 1'000'000);  // >= 1 ms for 100 tuples
 }
 
@@ -94,10 +86,6 @@ TEST(SecondaryStorageTest, InjectedStoreFaultFailsWithoutStoring) {
   // The failed call stored nothing and doesn't count as performed work.
   EXPECT_EQ(s.CountFor("a"), 1u);
   EXPECT_EQ(s.store_calls(), 1u);
-  // Batches fail atomically.
-  EXPECT_TRUE(s.StoreBatch("a", {T(3, 3.0)}).ok());
-  EXPECT_TRUE(s.StoreBatch("a", {T(4, 4.0), T(5, 5.0)}).IsUnavailable());
-  EXPECT_EQ(s.CountFor("a"), 2u);
 }
 
 TEST(SecondaryStorageTest, InjectedGetFaultIsUnavailableNotNotFound) {
