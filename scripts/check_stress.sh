@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Reruns the timing-sensitive chaos suites (ctest label `stress`:
-# recovery + overload/watchdog) many times, because their failure mode is
-# intermittent — a single green run proves nothing about a race that
-# loses 5% of the time. Runs the plain build first, then the same sweep
-# under TSan (pass `--no-tsan` to skip it; the TSan build is slow).
+# recovery + overload/watchdog) and the channel queue's multi-thread cases
+# (its park-and-resume wake-up protocol) many times, because their failure
+# mode is intermittent — a single green run proves nothing about a race
+# that loses 5% of the time. Runs the plain build first, then the same
+# sweep under TSan (pass `--no-tsan` to skip it; the TSan build is slow).
 # Usage: scripts/check_stress.sh [build-dir] [repeats] [--no-tsan]
 set -euo pipefail
 
@@ -29,15 +30,30 @@ done
 # chaos, and lossy-recovery accounting. Kept as an explicit gtest filter
 # so one flaky *case* is rerun 20x, not just its whole suite once.
 STRESS_FILTER='*Watchdog*:*Chaos*:*Deadline*:*LossyRecovery*:*Shed*'
+# BlockingQueue cases that race producers against consumers: parked
+# producers, resume-mark crossings, MPMC delivery and close wake-ups.
+QUEUE_FILTER='BlockingQueueTest.*Mpmc*:BlockingQueueTest.*Park*:'\
+'BlockingQueueTest.*Small*:BlockingQueueTest.*Block*:'\
+'BlockingQueueTest.*Close*:BlockingQueueTest.*Overshoot*:'\
+'BlockingQueueTest.*Pressure*'
+
+filter_for() {
+  if [ "$1" = spear_common_tests ]; then
+    echo "$QUEUE_FILTER"
+  else
+    echo "$STRESS_FILTER"
+  fi
+}
 
 run_sweep() {
   local build="$1" tag="$2" fails=0
   cmake --build "$ROOT/$build" -j"$(nproc)" --target \
-    spear_recovery_tests spear_overload_tests
+    spear_common_tests spear_recovery_tests spear_overload_tests
   for ((i = 1; i <= REPEATS; ++i)); do
-    for suite in spear_recovery_tests spear_overload_tests; do
+    for suite in spear_common_tests spear_recovery_tests \
+        spear_overload_tests; do
       if ! "$ROOT/$build/tests/$suite" \
-          --gtest_filter="$STRESS_FILTER" --gtest_brief=1 \
+          --gtest_filter="$(filter_for "$suite")" --gtest_brief=1 \
           > /tmp/spear_stress_last.log 2>&1; then
         fails=$((fails + 1))
         echo "[$tag] FAIL rep $i $suite:"

@@ -28,6 +28,19 @@
 /// the remaining room is enqueued in chunks as the consumer drains (the one
 /// path that does pay per-element moves). Single-element Push() appends to
 /// an open tail node, matching the historical per-tuple cost profile.
+///
+/// Two rules keep the handoff from costing a context switch per batch:
+/// - A producer that finds the queue full parks until a quarter of it is
+///   free (size <= resume_mark()), and consumers signal it only when a take
+///   crosses that mark while a producer is parked. A saturated queue thus
+///   wakes its producer once per capacity/4 items, not once per pop, yet
+///   still reads >= 3/4 full at every pop, so occupancy-based overload
+///   detection (shed above a 0.75 high watermark) keeps its signal.
+/// - Batch storage circulates. A whole-node PopAll keeps the consumer's
+///   drained vector (cleared, capacity kept) as a spare, and the next
+///   whole-batch PushAll hands a spare back to its producer, so a steady
+///   producer/consumer pair stops allocating on one thread and freeing on
+///   the other.
 
 namespace spear {
 
@@ -38,7 +51,11 @@ namespace spear {
 template <typename T>
 class BlockingQueue {
  public:
-  explicit BlockingQueue(std::size_t capacity) : capacity_(capacity) {}
+  explicit BlockingQueue(std::size_t capacity)
+      : capacity_(capacity),
+        resume_mark_(capacity -
+                     std::min(capacity,
+                              std::max<std::size_t>(1, capacity / 4))) {}
 
   /// Blocks until space is available. Returns false iff the queue closed.
   /// When `blocked_ns` is non-null, time spent waiting for room (the
@@ -75,11 +92,13 @@ class BlockingQueue {
   /// one lock acquisition, one notify, no per-element work. Blocks for
   /// room like Push; a batch larger than the remaining capacity is
   /// enqueued in FIFO chunks as the consumer drains. `items` is left
-  /// empty afterwards (its storage may have been handed to the queue, so
-  /// reserve again before reusing it as a buffer). Returns false iff the
-  /// queue closed before the whole batch was enqueued (any un-enqueued
-  /// remainder is dropped). `blocked_ns` accumulates back-pressure stall
-  /// time as in Push().
+  /// empty afterwards. After a whole-batch handoff it holds a spare
+  /// vector a consumer returned, when the queue has one, so its capacity
+  /// may be nonzero or zero: reserve() before refilling it, which costs
+  /// nothing once storage circulates. Returns false iff the queue closed
+  /// before the whole batch was enqueued (any un-enqueued remainder is
+  /// dropped). `blocked_ns` accumulates back-pressure stall time as in
+  /// Push().
   bool PushAll(std::vector<T>&& items, std::int64_t* blocked_ns = nullptr) {
     if (items.empty()) return true;
     std::size_t next = 0;
@@ -94,14 +113,19 @@ class BlockingQueue {
       const std::size_t room = capacity_ - count_;
       const std::size_t remaining = items.size() - next;
       if (next == 0 && remaining <= room) {
-        // Whole-batch handoff: the vector itself becomes a queue node.
+        // Whole-batch handoff: the vector itself becomes a queue node, and
+        // a consumer's spare takes its place in the producer's hands.
         count_ += remaining;
         nodes_.push_back(std::move(items));
         back_open_ = false;
+        items.clear();
+        if (!spares_.empty()) {
+          items.swap(spares_.back());
+          spares_.pop_back();
+        }
         lock.unlock();
         // One batch can satisfy several blocked consumers.
         not_empty_.notify_all();
-        items.clear();
         return true;
       }
       // Back-pressure: peel off as many elements as fit and keep waiting.
@@ -143,8 +167,7 @@ class BlockingQueue {
     not_empty_.wait(lock, [&] { return closed_ || count_ > 0; });
     if (count_ == 0) return std::nullopt;
     T item = TakeOneLocked();
-    lock.unlock();
-    not_full_.notify_one();
+    WakeProducersAndUnlock(std::move(lock));
     return item;
   }
 
@@ -172,8 +195,7 @@ class BlockingQueue {
     std::unique_lock<std::mutex> lock(mutex_);
     if (count_ == 0) return std::nullopt;
     T item = TakeOneLocked();
-    lock.unlock();
-    not_full_.notify_one();
+    WakeProducersAndUnlock(std::move(lock));
     return item;
   }
 
@@ -201,20 +223,45 @@ class BlockingQueue {
 
   std::size_t capacity() const { return capacity_; }
 
+  /// Occupancy a parked producer waits for before it resumes:
+  /// capacity - max(1, capacity/4), always below capacity().
+  std::size_t resume_mark() const { return resume_mark_; }
+
+  /// Producers currently parked on a full queue.
+  std::size_t parked_producers() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return parked_producers_;
+  }
+
  private:
   /// Bound on nodes grown element-wise by Push (keeps the drain latency of
   /// a singles-only producer similar to the historical deque).
   static constexpr std::size_t kAppendNodeCap = 64;
+  /// Spare batch vectors kept for producers: enough for a few producers
+  /// sharing the queue, small enough that idle storage stays bounded.
+  static constexpr std::size_t kMaxSpares = 4;
 
-  /// Waits until the queue has room or is closed, timing the wait into
-  /// `*blocked_ns` when requested. The predicate is checked before any
-  /// clock read, so an unblocked push costs nothing extra.
+  /// Returns when the queue has room or is closed. A producer that finds
+  /// it full parks until the occupancy falls to resume_mark(), timing the
+  /// wait into `*blocked_ns` when requested. The predicate is checked
+  /// before any clock read, so an unblocked push costs nothing extra.
   void WaitForRoomLocked(std::unique_lock<std::mutex>& lock,
                          std::int64_t* blocked_ns) {
     if (closed_ || count_ < capacity_) return;
     const std::int64_t start = blocked_ns != nullptr ? NowNs() : 0;
-    not_full_.wait(lock, [&] { return closed_ || count_ < capacity_; });
+    ++parked_producers_;
+    not_full_.wait(lock, [&] { return closed_ || count_ <= resume_mark_; });
+    --parked_producers_;
     if (blocked_ns != nullptr) *blocked_ns += NowNs() - start;
+  }
+
+  /// Ends a take: releases `lock`, then wakes the parked producers iff the
+  /// take left the occupancy at or below the resume mark. Every pop path
+  /// ends here, so a parked producer misses no crossing.
+  void WakeProducersAndUnlock(std::unique_lock<std::mutex> lock) {
+    const bool wake = parked_producers_ > 0 && count_ <= resume_mark_;
+    lock.unlock();
+    if (wake) not_full_.notify_all();
   }
 
   void AppendLocked(T item) {
@@ -240,15 +287,21 @@ class BlockingQueue {
     return item;
   }
 
-  /// Moves up to `max` items into `*out`, releasing `lock` before waking
-  /// producers (a multi-slot drain can unblock several of them).
+  /// Moves up to `max` items into `*out`, then wakes parked producers as
+  /// WakeProducersAndUnlock decides (a multi-slot drain can unblock
+  /// several of them).
   std::size_t DrainLocked(std::unique_lock<std::mutex> lock,
                           std::vector<T>* out, std::size_t max) {
     std::size_t take = 0;
     if (out->empty() && front_pos_ == 0 && !nodes_.empty() &&
         nodes_.front().size() <= max) {
-      // Whole-node handoff: no per-element moves.
-      *out = std::move(nodes_.front());
+      // Whole-node handoff: no per-element moves. The consumer's empty
+      // vector becomes a spare for the next PushAll instead of being
+      // freed here, far from the producer that allocated it.
+      out->swap(nodes_.front());
+      if (nodes_.front().capacity() > 0 && spares_.size() < kMaxSpares) {
+        spares_.push_back(std::move(nodes_.front()));
+      }
       nodes_.pop_front();
       take = out->size();
       count_ -= take;
@@ -258,12 +311,12 @@ class BlockingQueue {
         out->push_back(TakeOneLocked());
       }
     }
-    lock.unlock();
-    if (take > 0) not_full_.notify_all();
+    WakeProducersAndUnlock(std::move(lock));
     return take;
   }
 
   const std::size_t capacity_;
+  const std::size_t resume_mark_;
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
@@ -274,6 +327,11 @@ class BlockingQueue {
   std::size_t count_ = 0;
   /// True while the back node may still be grown by Push().
   bool back_open_ = false;
+  /// Producers waiting in WaitForRoomLocked for the resume mark.
+  std::size_t parked_producers_ = 0;
+  /// Empty vectors with capacity, drained by consumers, waiting to be
+  /// handed back to a producer by PushAll (at most kMaxSpares).
+  std::vector<std::vector<T>> spares_;
   bool closed_ = false;
 };
 

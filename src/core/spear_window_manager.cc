@@ -276,13 +276,8 @@ void SpearWindowManager::OnTupleShed(std::int64_t coord) {
     if (state->sample) state->sample->NoteSkipped(1);
     if (state->groups) state->groups->NoteShed(1);
   };
-  if (config_.window.IsTumbling()) {
-    charge(&StateFor(LastWindowStartFor(config_.window, coord)));
-  } else {
-    for (const WindowBounds& w : AssignWindows(config_.window, coord)) {
-      charge(&StateFor(w.start));
-    }
-  }
+  ForEachWindow(config_.window, coord,
+                [&](const WindowBounds& w) { charge(&StateFor(w.start)); });
 }
 
 void SpearWindowManager::NoteStreamTruncation() {
@@ -299,21 +294,16 @@ void SpearWindowManager::OnTuple(std::int64_t coord, Tuple tuple) {
   const bool counted = obs_tuples_seen_ != nullptr && !catching_up_;
   if (counted) obs_tuples_seen_->Increment();
 
-  // Alg. 1: update the budget state of every window the tuple joins
-  // (tumbling fast path avoids the per-tuple window-list allocation).
+  // Alg. 1: update the budget state of every window the tuple joins, in
+  // ascending start order (StateFor seeds samplers in creation order).
   // Grouped modes hash the key once here; the windows index by its id.
   const double value = value_extractor_(tuple);
   const std::uint32_t key_id = key_extractor_
                                    ? keys_.Intern(key_extractor_(tuple))
                                    : KeyDictionary::kNoId;
-  if (config_.window.IsTumbling()) {
-    UpdateWindowState(&StateFor(LastWindowStartFor(config_.window, coord)),
-                      value, key_id);
-  } else {
-    for (const WindowBounds& w : AssignWindows(config_.window, coord)) {
-      UpdateWindowState(&StateFor(w.start), value, key_id);
-    }
-  }
+  ForEachWindow(config_.window, coord, [&](const WindowBounds& w) {
+    UpdateWindowState(&StateFor(w.start), value, key_id);
+  });
 
   // Raw tuple custody: memory within the worker budget, S beyond it.
   const TupleBuffer::Custody custody =

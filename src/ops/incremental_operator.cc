@@ -23,13 +23,13 @@ void IncrementalOperator::OnTuple(std::int64_t coord, const Tuple& tuple) {
     return;
   }
   const double value = value_extractor_(tuple);
-  for (const WindowBounds& w : AssignWindows(window_spec_, coord)) {
+  ForEachWindow(window_spec_, coord, [&](const WindowBounds& w) {
     if (is_grouped()) {
       grouped_state_[w.start][key_extractor_(tuple)].Update(value);
     } else {
       scalar_state_[w.start].Update(value);
     }
-  }
+  });
 }
 
 Result<std::vector<WindowResult>> IncrementalOperator::OnWatermark(

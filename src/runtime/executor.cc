@@ -167,8 +167,9 @@ class Executor::StageEmitter : public Emitter {
     if (blocked_ns > 0 && metrics_ != nullptr) {
       metrics_->AddBackpressureNs(blocked_ns);
     }
-    // The vector's storage was handed to the queue as a whole batch node;
-    // start a fresh allocation for the next batch.
+    // The vector's storage went downstream; PushAll left a spare a consumer
+    // returned in its place, when the queue had one. reserve() allocates
+    // only when it did not (or the spare is smaller than a batch).
     buffer.reserve(batch_max_);
   }
 

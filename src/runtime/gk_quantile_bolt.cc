@@ -31,15 +31,21 @@ Status GkQuantileBolt::Execute(const Tuple& tuple, Emitter* out) {
   }
   if (coord >= last_watermark_) {
     const double value = value_extractor_(tuple);
-    for (const WindowBounds& w : AssignWindows(window_, coord)) {
+    Status status = Status::OK();
+    ForEachWindow(window_, coord, [&](const WindowBounds& w) {
+      if (!status.ok()) return;
       auto it = sketches_.find(w.start);
       if (it == sketches_.end()) {
         auto sketch = GkQuantileSketch::Make(epsilon_);
-        if (!sketch.ok()) return sketch.status();
+        if (!sketch.ok()) {
+          status = sketch.status();
+          return;
+        }
         it = sketches_.emplace(w.start, std::move(*sketch)).first;
       }
       it->second.Add(value);
-    }
+    });
+    if (!status.ok()) return status;
   }
   if (window_.type == WindowType::kCountBased) {
     return ProcessWatermark(sequence_, out);

@@ -26,11 +26,10 @@ class MultiBufferWindowManager : public WindowManager {
       ++late_tuples_;
       return;
     }
-    const auto windows = AssignWindows(spec_, coord);
-    for (const WindowBounds& w : windows) {
+    ForEachWindow(spec_, coord, [&](const WindowBounds& w) {
       buffers_[w.start].push_back(tuple);  // one copy per window
       ++buffered_;
-    }
+    });
   }
 
   Result<std::vector<CompleteWindow>> OnWatermark(

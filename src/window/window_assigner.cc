@@ -1,7 +1,5 @@
 #include "window/window_assigner.h"
 
-#include <algorithm>
-
 namespace spear {
 
 namespace {
@@ -50,16 +48,10 @@ std::int64_t ClampWatermark(const WindowSpec& spec, std::int64_t watermark) {
 
 std::vector<WindowBounds> AssignWindows(const WindowSpec& spec,
                                         std::int64_t coord) {
-  SPEAR_DCHECK(spec.IsValid());
   std::vector<WindowBounds> out;
   out.reserve(static_cast<std::size_t>(spec.WindowsPerCoordinate()));
-  const std::int64_t last = LastWindowStartFor(spec, coord);
-  // Walk starts downward while the window still contains `coord`.
-  for (std::int64_t s = last; s + spec.range > coord; s -= spec.slide) {
-    out.push_back(WindowBounds{s, s + spec.range});
-  }
-  // Ascending start order.
-  std::reverse(out.begin(), out.end());
+  ForEachWindow(spec, coord,
+                [&out](const WindowBounds& w) { out.push_back(w); });
   return out;
 }
 

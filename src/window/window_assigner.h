@@ -11,17 +11,36 @@
 
 namespace spear {
 
-/// \brief All windows [s, s+range) with s = k*slide containing `coord`.
-/// Returned in ascending start order; size <= ceil(range/slide).
-std::vector<WindowBounds> AssignWindows(const WindowSpec& spec,
-                                        std::int64_t coord);
-
 /// \brief Start of the earliest window containing `coord`.
 std::int64_t FirstWindowStartFor(const WindowSpec& spec, std::int64_t coord);
 
 /// \brief Start of the window-aligned slot containing `coord` (the latest
 /// window start <= coord).
 std::int64_t LastWindowStartFor(const WindowSpec& spec, std::int64_t coord);
+
+/// \brief Calls `fn(const WindowBounds&)` for every window [s, s+range)
+/// with s = k*slide containing `coord`, in ascending start order (at most
+/// ceil(range/slide) calls). Allocates nothing, so per-tuple callers use it
+/// rather than AssignWindows.
+template <typename Fn>
+void ForEachWindow(const WindowSpec& spec, std::int64_t coord, Fn&& fn) {
+  SPEAR_DCHECK(spec.IsValid());
+  const std::int64_t last = LastWindowStartFor(spec, coord);
+  // Windows starting at last - j*slide contain `coord` while
+  // j*slide < last + range - coord; that bound is positive because
+  // slide <= range, so `last`'s window always qualifies.
+  const std::int64_t reach = last + spec.range - coord;
+  std::int64_t start = last - (reach - 1) / spec.slide * spec.slide;
+  for (;;) {
+    fn(WindowBounds{start, start + spec.range});
+    if (start == last) break;
+    start += spec.slide;
+  }
+}
+
+/// \brief ForEachWindow's windows collected into a vector.
+std::vector<WindowBounds> AssignWindows(const WindowSpec& spec,
+                                        std::int64_t coord);
 
 /// \brief Start of the earliest window NOT complete at `watermark`, i.e.
 /// the smallest aligned s with s + range > watermark. Callers must clamp

@@ -177,6 +177,35 @@ TEST(OverloadTest, OverCapacityIngestShedsWithControlAndBlocksWithout) {
             WindowValues(off_report->output).size());
 }
 
+// The default policy's queue signal must still see a saturated input
+// queue as saturated. Only that signal can trip here: the window-latency
+// SLO and the watermark-lag bound it derives are far beyond anything this
+// run reaches. A parked source resumes once a quarter of the queue is
+// free, so the stage's pop-time occupancy stays near or above the default
+// 0.75 high watermark while the slow stage lags, and it sheds over a
+// quarter of the stream. A source resuming at half capacity (or only once
+// the queue is empty) leaves most pops reading healthy and sheds under a
+// fifth.
+TEST(OverloadTest, DefaultPolicyShedsBehindSlowStatefulStage) {
+  const int n = 20000;
+  SecondaryStorage slow(StorageLatencyModel{100'000, 2'000});
+  SpearTopologyBuilder builder;
+  builder.Source(std::make_shared<VectorSpout>(OverloadStream(n)),
+                 /*watermark_interval=*/50)
+      .TumblingWindowOf(500)
+      .Mean(NumericField(0))
+      .SetBudget(Budget::Tuples(128))
+      .Error(0.25, 0.95)
+      .Parallelism(1)
+      .SpillOver(48, &slow)
+      .LatencySlo(600'000)
+      .Shed(ShedPolicy{});
+  auto report = Executor(std::move(*builder.Build())).Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->overload.tuples_shed, static_cast<std::uint64_t>(n / 4));
+  EXPECT_LT(report->overload.tuples_shed, static_cast<std::uint64_t>(n));
+}
+
 FaultPlan StallPlan(std::int64_t stall_bound_ns) {
   FaultPlan plan;
   plan.seed = 11;

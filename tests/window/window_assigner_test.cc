@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace spear {
 namespace {
 
@@ -98,11 +100,36 @@ TEST_P(AssignerSweep, AssignmentInvariants) {
   }
 }
 
+// ForEachWindow and AssignWindows both yield exactly the windows a
+// brute-force scan of aligned starts finds, in ascending start order.
+TEST_P(AssignerSweep, ForEachWindowAgreesWithBruteForce) {
+  const auto [range, slide] = GetParam();
+  const WindowSpec spec = WindowSpec::SlidingTime(range, slide);
+  for (std::int64_t coord = -3 * range - 1; coord <= 3 * range + 1;
+       ++coord) {
+    std::vector<WindowBounds> expected;
+    // Aligned starts (multiples of slide) covering every coord swept.
+    for (std::int64_t s = -(6 * range / slide) * slide; s <= 6 * range;
+         s += slide) {
+      if (s <= coord && coord < s + range) {
+        expected.push_back(WindowBounds{s, s + range});
+      }
+    }
+    std::vector<WindowBounds> walked;
+    ForEachWindow(spec, coord,
+                  [&](const WindowBounds& w) { walked.push_back(w); });
+    EXPECT_EQ(walked, expected) << "coord " << coord;
+    EXPECT_EQ(AssignWindows(spec, coord), expected) << "coord " << coord;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, AssignerSweep,
     ::testing::Values(std::make_tuple(10L, 10L), std::make_tuple(10L, 5L),
                       std::make_tuple(15L, 5L), std::make_tuple(100L, 33L),
-                      std::make_tuple(7L, 2L), std::make_tuple(1L, 1L)));
+                      std::make_tuple(7L, 2L), std::make_tuple(1L, 1L),
+                      std::make_tuple(45L, 15L), std::make_tuple(12L, 5L),
+                      std::make_tuple(9L, 9L), std::make_tuple(10L, 3L)));
 
 }  // namespace
 }  // namespace spear
